@@ -76,12 +76,6 @@ class PAutomaton:
     def outgoing(self, state: str) -> list:
         return self._by_src.get(state, [])
 
-    def with_direction(self, direction: str) -> "PAutomaton":
-        return PAutomaton(
-            self.states, self.alphabet, self.transitions,
-            self.initials, self.finals, direction, self.saturated,
-        )
-
     def text(self) -> str:
         lines = []
         if self.states:
@@ -212,24 +206,26 @@ def accepting_runs(aut: PAutomaton, c: Configuration) -> list:
     n = len(stack)
     finals = aut.finals
     results: list = []
-
-    def walk(state: str, pos: int, prefix: tuple) -> None:
+    if n == 0 and c.loc in finals:
+        results.append(Run(()))
+    # depth-first over (state, symbols read, run so far); successors are
+    # pushed in reverse so that they are popped in transition order
+    todo = [
+        (t.dst, 0 if t.label is None else 1, (t,))
+        for t in reversed(aut.outgoing(c.loc))
+        if (t.label is None and aut.direction == POST)
+        or (n and t.label == stack[0])
+    ]
+    while todo:
+        state, pos, prefix = todo.pop()
         if pos == n:
             if state in finals:
                 results.append(Run(prefix))
-            return
-        for t in aut.outgoing(state):
-            if t.label == stack[pos]:
-                walk(t.dst, pos + 1, prefix + (t,))
-
-    if n == 0 and c.loc in finals:
-        results.append(Run(()))
-    for t in aut.outgoing(c.loc):
-        if t.label is None:
-            if aut.direction == POST:
-                walk(t.dst, 0, (t,))
-        elif n and t.label == stack[0]:
-            walk(t.dst, 1, (t,))
+            continue
+        sym = stack[pos]
+        for t in reversed(aut.outgoing(state)):
+            if t.label == sym:
+                todo.append((t.dst, pos + 1, prefix + (t,)))
     return results
 
 

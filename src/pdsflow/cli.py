@@ -33,9 +33,7 @@ from .errors import (
     NotAcceptedError,
     ParseError,
     PdsflowError,
-    PreconditionNotMetError,
     UnknownLocationError,
-    ValidationError,
 )
 from .oracle import check_completeness, check_soundness
 from .pds import Configuration, load_pds, parse_config_text
@@ -234,15 +232,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
     except IterationLimitExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ITERATION_LIMIT
-    except PreconditionNotMetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
     except PdsflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -66,18 +66,14 @@ def validate_icfg(g: ICFG) -> None:
     proc_names = [p.name for p in g.procedures]
     if len(set(proc_names)) != len(proc_names):
         problems.append("duplicate procedure names")
-    all_nodes: dict = {}
-    for proc in g.procedures:
-        for node in proc.nodes:
-            if node in all_nodes and all_nodes[node] != proc.name:
-                problems.append(
-                    f"node {node} appears in procedures "
-                    f"{all_nodes[node]} and {proc.name}"
-                )
-            all_nodes[node] = proc.name
     owner: dict = {}
     for proc in g.procedures:
         for node in proc.nodes:
+            if node in owner and owner[node] != proc.name:
+                problems.append(
+                    f"node {node} appears in procedures "
+                    f"{owner[node]} and {proc.name}"
+                )
             owner[node] = proc.name
     for e in g.intra_edges:
         for node in (e.src, e.dst):

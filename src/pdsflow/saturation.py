@@ -1,14 +1,19 @@
 """Saturation procedures that grow an automaton and emit constraints.
 
 Both directions add transitions until a fixpoint and record, for every
-addition, an ordering constraint over transition variables.  Solving
-those constraints afterwards yields the weighted readout; keeping the
-two phases apart puts no algebraic requirements on this module beyond
-the existence of the operations themselves.
+rule match, an ordering constraint over transition variables.  They
+share one worklist loop, after Esparza, Hansel, Rossmanith & Schwoon
+(CAV 2000) and Schwoon (2002, ch. 3): each transition is popped once,
+indexed by (source, label), and matched against the rules it can take
+part in; only the pop/swap/push matching differs by direction.  Solving
+the constraints afterwards yields the weighted readout; keeping the two
+phases apart puts no algebraic requirements on this module beyond the
+existence of the operations themselves.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Union
 
@@ -76,45 +81,124 @@ def render_constraints(result: SaturationResult, alg: FlowAlgebra) -> str:
     return "\n".join(c.text(alg) for c in result.constraints) + "\n"
 
 
-class _Builder:
-    """Shared bookkeeping: transition set, constraint set, trace."""
+def _saturate(pds: PushdownSystem, aut: PAutomaton,
+              states: frozenset) -> SaturationResult:
+    """The worklist fixpoint both directions share.
 
-    def __init__(self, aut: PAutomaton, alg: FlowAlgebra):
-        self.alg = alg
-        self.transitions = set(aut.transitions)
-        self.constraints: dict = {}
-        self.trace: list = []
+    Every transition, original or added, is popped once; popping it
+    indexes it and fires each rule match that uses it together with
+    transitions popped before.  A constraint is kept once per key made
+    of its right-hand side, its transition factors and its constant's
+    rendered text, which together fix the constraint's text.
+    """
+    validate_input_automaton(aut)
+    alg = pds.algebra
+    one = (Const(alg.one), alg.render(alg.one))
+    rules = [(r, (Const(r.weight), alg.render(r.weight))) for r in pds.rules]
+    transitions: dict = {}  # insertion-ordered set
+    constraints: dict = {}
+    trace: list = []
+    worklist: deque = deque()
+    out: dict = {}  # src -> label -> popped transitions
+    eps_into: dict = {}  # dst -> popped epsilon transitions
 
-    def add_constraint(self, c: Constraint) -> bool:
-        key = c.text(self.alg)
-        if key in self.constraints:
-            return False
-        self.constraints[key] = c
-        return True
+    def emit(t, before, w, after, rule=None) -> None:
+        """Record before (x) w (x) after <= t, and add t if it is new;
+        ``w`` is a constant with its rendered text."""
+        key = (t, before, w[1], after)
+        if key not in constraints:
+            lhs = tuple(map(Var, before)) + (w[0],) + tuple(map(Var, after))
+            constraints[key] = Constraint(lhs, t)
+        if t not in transitions:
+            transitions[t] = None
+            worklist.append(t)
+            trace.append(TraceEntry(t, rule, before + after))
 
-    def add(self, t: Transition, c: Constraint, rule: Rule, matched: tuple) -> bool:
-        changed = False
-        if t not in self.transitions:
-            self.transitions.add(t)
-            self.trace.append(TraceEntry(t, rule, matched))
-            changed = True
-        if self.add_constraint(c):
-            changed = True
-        return changed
+    def popped(src: str, label) -> list:
+        return out.get(src, {}).get(label, ())
 
-    def sorted_constraints(self) -> tuple:
-        return tuple(
-            sorted(
-                self.constraints.values(),
-                key=lambda c: (c.rhs.text(), c.text(self.alg)),
-            )
-        )
+    original = sorted(aut.transitions, key=transition_key)
+    transitions.update(dict.fromkeys(original))
+    worklist.extend(original)
+    for t in original:
+        emit(t, (), one, ())
 
+    if aut.direction == PRE:
+        first: dict = {}  # (to_loc, to_word[0]) -> swap and push rules
+        second: dict = {}  # to_word[1] -> push rules
+        for r, w in rules:
+            if not r.to_word:
+                emit(Transition(r.from_loc, r.from_sym, r.to_loc), (), w, (), r)
+                continue
+            first.setdefault((r.to_loc, r.to_word[0]), []).append((r, w))
+            if len(r.to_word) == 2:
+                second.setdefault(r.to_word[1], []).append((r, w))
 
-def _seed(builder: _Builder, aut: PAutomaton) -> None:
-    one = builder.alg.one
-    for t in sorted(aut.transitions, key=transition_key):
-        builder.add_constraint(Constraint((Const(one),), t))
+        def fire(t: Transition) -> None:
+            for r, w in first.get((t.src, t.label), ()):
+                if len(r.to_word) == 1:
+                    emit(Transition(r.from_loc, r.from_sym, t.dst),
+                         (), w, (t,), r)
+                    continue
+                for t2 in popped(t.dst, r.to_word[1]):
+                    emit(Transition(r.from_loc, r.from_sym, t2.dst),
+                         (), w, (t, t2), r)
+            for r, w in second.get(t.label, ()):
+                for t1 in popped(r.to_loc, r.to_word[0]):
+                    if t1.dst == t.src:
+                        emit(Transition(r.from_loc, r.from_sym, t.dst),
+                             (), w, (t1, t), r)
+    else:
+        by_lhs: dict = {}  # (from_loc, from_sym) -> rules
+        for r, w in rules:
+            by_lhs.setdefault((r.from_loc, r.from_sym), []).append((r, w))
+
+        def apply(r: Rule, w: tuple, q: str, path: tuple) -> None:
+            if len(r.to_word) == 2:
+                mid = mid_location(r.to_loc, r.to_word[0])
+                emit(Transition(r.to_loc, r.to_word[0], mid), (), one, (), r)
+                t_new = Transition(mid, r.to_word[1], q)
+            else:
+                label = r.to_word[0] if r.to_word else None
+                t_new = Transition(r.to_loc, label, q)
+            emit(t_new, path, w, (), r)
+
+        def fire(t: Transition) -> None:
+            for r, w in by_lhs.get((t.src, t.label), ()):
+                apply(r, w, t.dst, (t,))
+            for te in eps_into.get(t.src, ()):
+                for r, w in by_lhs.get((te.src, t.label), ()):
+                    apply(r, w, t.dst, (t, te))
+            if t.label is None:
+                for label, after in out.get(t.dst, {}).items():
+                    for r, w in by_lhs.get((t.src, label), ()):
+                        for t2 in after:
+                            apply(r, w, t2.dst, (t2, t))
+
+    while worklist:
+        t = worklist.popleft()
+        out.setdefault(t.src, {}).setdefault(t.label, []).append(t)
+        if t.label is None:
+            eps_into.setdefault(t.dst, []).append(t)
+        fire(t)
+
+    saturated = PAutomaton(
+        states=states,
+        alphabet=aut.alphabet,
+        transitions=frozenset(transitions),
+        initials=aut.initials,
+        finals=aut.finals,
+        direction=aut.direction,
+        saturated=True,
+    )
+    return SaturationResult(
+        automaton=saturated,
+        constraints=tuple(sorted(
+            constraints.values(), key=lambda c: (c.rhs.text(), c.text(alg))
+        )),
+        trace=tuple(trace),
+        original=aut,
+    )
 
 
 def pre_star(pds: PushdownSystem, aut: PAutomaton) -> SaturationResult:
@@ -133,74 +217,7 @@ def pre_star(pds: PushdownSystem, aut: PAutomaton) -> SaturationResult:
     """
     if aut.direction != PRE:
         raise InvalidInputAutomatonError("pre_star needs a Pre-direction automaton")
-    validate_input_automaton(aut)
-    builder = _Builder(aut, pds.algebra)
-    _seed(builder, aut)
-
-    changed = True
-    while changed:
-        changed = False
-        snapshot = sorted(builder.transitions, key=transition_key)
-        by_src_label: dict = {}
-        for t in snapshot:
-            by_src_label.setdefault((t.src, t.label), []).append(t)
-        for r in pds.rules:
-            w = Const(r.weight)
-            if len(r.to_word) == 0:
-                t_new = Transition(r.from_loc, r.from_sym, r.to_loc)
-                changed |= builder.add(
-                    t_new, Constraint((w,), t_new), r, ()
-                )
-            elif len(r.to_word) == 1:
-                for t1 in by_src_label.get((r.to_loc, r.to_word[0]), []):
-                    t_new = Transition(r.from_loc, r.from_sym, t1.dst)
-                    changed |= builder.add(
-                        t_new, Constraint((w, Var(t1)), t_new), r, (t1,)
-                    )
-            else:
-                for t1 in by_src_label.get((r.to_loc, r.to_word[0]), []):
-                    for t2 in by_src_label.get((t1.dst, r.to_word[1]), []):
-                        t_new = Transition(r.from_loc, r.from_sym, t2.dst)
-                        changed |= builder.add(
-                            t_new,
-                            Constraint((w, Var(t1), Var(t2)), t_new),
-                            r,
-                            (t1, t2),
-                        )
-
-    saturated = PAutomaton(
-        states=aut.states,
-        alphabet=aut.alphabet,
-        transitions=frozenset(builder.transitions),
-        initials=aut.initials,
-        finals=aut.finals,
-        direction=PRE,
-        saturated=True,
-    )
-    return SaturationResult(
-        automaton=saturated,
-        constraints=builder.sorted_constraints(),
-        trace=tuple(builder.trace),
-        original=aut,
-    )
-
-
-def _eps_paths(transitions, gamma: str, p: str) -> list:
-    """Paths that consume gamma when entered at p, possibly after one
-    epsilon step: either p -gamma-> q, or p -eps-> q' -gamma-> q.
-
-    Returns (end state, lhs factors, matched transitions); the factors
-    put the gamma transition first, then the epsilon one.
-    """
-    ordered = sorted(transitions, key=transition_key)
-    direct = [t for t in ordered if t.src == p and t.label == gamma]
-    eps = [t for t in ordered if t.src == p and t.label is None]
-    out = [(t.dst, (Var(t),), (t,)) for t in direct]
-    for te in eps:
-        for t2 in ordered:
-            if t2.src == te.dst and t2.label == gamma:
-                out.append((t2.dst, (Var(t2), Var(te)), (t2, te)))
-    return out
+    return _saturate(pds, aut, aut.states)
 
 
 def post_star(pds: PushdownSystem, aut: PAutomaton) -> SaturationResult:
@@ -219,61 +236,9 @@ def post_star(pds: PushdownSystem, aut: PAutomaton) -> SaturationResult:
     """
     if aut.direction != POST:
         raise InvalidInputAutomatonError("post_star needs a Post-direction automaton")
-    validate_input_automaton(aut)
-    builder = _Builder(aut, pds.algebra)
-    _seed(builder, aut)
-
-    states = set(aut.states)
-    for r in pds.rules:
-        if len(r.to_word) == 2:
-            states.add(mid_location(r.to_loc, r.to_word[0]))
-
-    changed = True
-    while changed:
-        changed = False
-        snapshot = frozenset(builder.transitions)
-        for r in pds.rules:
-            w = Const(r.weight)
-            for q_end, prefix, matched in _eps_paths(snapshot, r.from_sym, r.from_loc):
-                if len(r.to_word) == 0:
-                    t_new = Transition(r.to_loc, None, q_end)
-                    changed |= builder.add(
-                        t_new, Constraint(prefix + (w,), t_new), r, matched
-                    )
-                elif len(r.to_word) == 1:
-                    t_new = Transition(r.to_loc, r.to_word[0], q_end)
-                    changed |= builder.add(
-                        t_new, Constraint(prefix + (w,), t_new), r, matched
-                    )
-                else:
-                    mid = mid_location(r.to_loc, r.to_word[0])
-                    t_mid = Transition(r.to_loc, r.to_word[0], mid)
-                    changed |= builder.add(
-                        t_mid,
-                        Constraint((Const(pds.algebra.one),), t_mid),
-                        r,
-                        (),
-                    )
-                    t_out = Transition(mid, r.to_word[1], q_end)
-                    changed |= builder.add(
-                        t_out, Constraint(prefix + (w,), t_out), r, matched
-                    )
-
-    saturated = PAutomaton(
-        states=frozenset(states),
-        alphabet=aut.alphabet,
-        transitions=frozenset(builder.transitions),
-        initials=aut.initials,
-        finals=aut.finals,
-        direction=POST,
-        saturated=True,
-    )
-    return SaturationResult(
-        automaton=saturated,
-        constraints=builder.sorted_constraints(),
-        trace=tuple(builder.trace),
-        original=aut,
-    )
+    mids = {mid_location(r.to_loc, r.to_word[0])
+            for r in pds.rules if len(r.to_word) == 2}
+    return _saturate(pds, aut, aut.states | mids)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,6 @@ class Solution(Mapping):
 @dataclass(frozen=True)
 class SolverConfig:
     max_applications: int = 1_000_000
-    trace_level: str = "off"  # "off" or "summary"
 
 
 def eval_lhs(sol, c: Constraint):
@@ -138,14 +137,6 @@ def solve_least(constraints, alg: FlowAlgebra,
                 if j not in queued:
                     worklist.append(j)
                     queued.add(j)
-
-    if config.trace_level == "summary":
-        import logging
-
-        logging.getLogger(__name__).info(
-            "solved %d constraints over %d variables: %d applications, %d changes",
-            len(constraints), len(variables), applications, changes,
-        )
     return Solution(alg, assignment,
                     stats={"applications": applications, "changes": changes})
 

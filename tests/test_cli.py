@@ -88,6 +88,18 @@ class TestQuery:
         assert code == 1
         assert out == "UNREACHABLE\n"
 
+    def test_deep_stack_pops_without_recursion(self, capsys, tmp_path):
+        pds = tmp_path / "pop.pds"
+        pds.write_text("algebra minplus\nrule <p, a> -> <p, eps> weight 1\n")
+        aut = tmp_path / "pop.aut"
+        aut.write_text("final f\ntrans p z f\n")
+        code, out, _ = run(
+            capsys, "query", "--pds", str(pds), "--automaton", str(aut),
+            "--direction", "pre", "--config", "<p:" + " a" * 1500 + " z>",
+        )
+        assert code == 0
+        assert out == "1500\n"
+
     def test_unknown_symbol_is_format_error(self, capsys):
         code, _, err = run(
             capsys, "query", "--pds", PDS, "--automaton", AUT_PRE,
