@@ -15,7 +15,6 @@ from .algebra import (
     LawVerdict,
     boolean_algebra,
     check_laws,
-    induced_leq,
     killgen_algebra,
     minplus_algebra,
     powerset_lattice,

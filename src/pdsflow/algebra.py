@@ -64,18 +64,6 @@ class FlowAlgebra:
         """Induced partial order: a is below b iff combine(a, b) = b."""
         return self.eq(self.combine(a, b), b)
 
-    def join_all(self, items: Iterable) -> Any:
-        """Combine of a finite collection, starting from zero."""
-        acc = self.zero
-        for x in items:
-            acc = self.combine(acc, x)
-        return acc
-
-
-def induced_leq(alg: FlowAlgebra, a, b) -> bool:
-    """Order test derived from combine; never supplied independently."""
-    return alg.leq(a, b)
-
 
 # ---------------------------------------------------------------------------
 # kill/gen transfer functions
@@ -207,6 +195,13 @@ def minplus_algebra() -> FlowAlgebra:
 
 def boolean_algebra() -> FlowAlgebra:
     """Two-point reachability weights: combine is or, extend is and."""
+
+    def parse(text: str) -> bool:
+        text = text.strip()
+        if text not in ("0", "1"):
+            raise ValueError(f"bool weights are 0 or 1, got {text!r}")
+        return text == "1"
+
     return FlowAlgebra(
         name="bool",
         zero=False,
@@ -214,7 +209,7 @@ def boolean_algebra() -> FlowAlgebra:
         combine=lambda a, b: a or b,
         extend=lambda a, b: a and b,
         render=lambda a: "1" if a else "0",
-        parse=lambda s: {"0": False, "1": True}[s.strip()],
+        parse=parse,
         elements=(False, True),
     )
 

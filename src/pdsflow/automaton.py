@@ -10,12 +10,11 @@ for the forward one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from functools import cached_property, reduce
+from typing import Iterable, Optional
 
 from .errors import (
     InvalidInputAutomatonError,
-    MissingAssignmentError,
     NotAcceptedError,
     ParseError,
     UnknownLocationError,
@@ -265,20 +264,13 @@ def accepted_configs(aut: PAutomaton, max_stack: int) -> list:
 # weighted readout
 
 
-def _weight_of(sol: Mapping, t: Transition):
-    try:
-        return sol[t]
-    except KeyError:
-        raise MissingAssignmentError(f"no value assigned to {t.text()}") from None
-
-
 def read_weight_pre(aut: PAutomaton, sol, rho: Run):
     """Product of the run's transition values, first transition first."""
     assert aut.direction == PRE
     alg = sol.algebra
     acc = alg.one
     for t in rho.transitions:
-        acc = alg.extend(acc, _weight_of(sol, t))
+        acc = alg.extend(acc, sol.value(t))
     return acc
 
 
@@ -289,18 +281,57 @@ def read_weight_post(aut: PAutomaton, sol, rho: Run):
     alg = sol.algebra
     acc = alg.one
     for t in reversed(rho.transitions):
-        acc = alg.extend(acc, _weight_of(sol, t))
+        acc = alg.extend(acc, sol.value(t))
     return acc
+
+
+def then(aut: PAutomaton, alg):
+    """``then(a, b)`` weighs a run piece weighing ``a`` followed by one
+    weighing ``b``, as ``read_weight_pre``/``read_weight_post`` do."""
+    if aut.direction == PRE:
+        return alg.extend
+    return lambda a, b: alg.extend(b, a)
+
+
+def readout_start(aut: PAutomaton, sol, p: str) -> list:
+    """(state, value) after the runs from ``p`` that read no symbol: the
+    empty run and, forward, one leading epsilon step."""
+    start = [(p, sol.algebra.one)]
+    if aut.direction == POST:
+        start += [(t.dst, sol.value(t)) for t in aut.outgoing(p) if t.label is None]
+    return start
 
 
 def query(aut: PAutomaton, sol, c: Configuration):
-    """Join of the weighted readouts over all accepting runs of ``c``."""
-    runs = accepting_runs(aut, c)
-    if not runs:
-        raise NotAcceptedError(f"configuration {c.text()} is not accepted")
-    read = read_weight_pre if aut.direction == PRE else read_weight_post
+    """Join of the weighted readouts over all accepting runs of ``c``.
+
+    One walk over the stack keeps, per state, each distinct prefix value
+    once (by ``render``, the element equality).  Runs that reach a state
+    with one value continue alike and combine is idempotent, so this is
+    the join over ``accepting_runs`` in every flow algebra."""
+    if c.loc not in aut.initials:
+        raise UnknownLocationError(
+            f"{c.loc!r} is not an initial state of the automaton"
+        )
     alg = sol.algebra
-    acc = read(aut, sol, runs[0])
-    for rho in runs[1:]:
-        acc = alg.combine(acc, read(aut, sol, rho))
-    return acc
+    step = then(aut, alg)
+    here: dict = {}  # state -> rendered text -> prefix value
+    for q, v in readout_start(aut, sol, c.loc):
+        here.setdefault(q, {})[alg.render(v)] = v
+    for sym in c.stack:
+        nxt: dict = {}
+        for q, values in here.items():
+            for t in aut.outgoing(q):
+                if t.label != sym:
+                    continue
+                w = sol.value(t)
+                into = nxt.setdefault(t.dst, {})
+                for v in values.values():
+                    v = step(v, w)
+                    into.setdefault(alg.render(v), v)
+        here = nxt
+    ends = [v for q, values in here.items() if q in aut.finals
+            for v in values.values()]
+    if not ends:
+        raise NotAcceptedError(f"configuration {c.text()} is not accepted")
+    return reduce(alg.combine, ends)

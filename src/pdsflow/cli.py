@@ -8,6 +8,7 @@ limit exceeded, 4 oracle violations found.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .algebra import check_laws
@@ -174,6 +175,14 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _at_least(low: int):
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdsflow",
@@ -210,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--automaton", required=True)
     p.add_argument("--direction", choices=(PRE, POST), required=True)
     p.add_argument("--mode", choices=("soundness", "completeness"), required=True)
-    p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--stack", type=int, default=4)
+    p.add_argument("--depth", type=_at_least(1), default=12)
+    p.add_argument("--stack", type=_at_least(0), default=4)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("check-algebra", help="law table for the system's algebra")
@@ -227,9 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except IterationLimitExceededError as exc:

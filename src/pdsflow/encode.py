@@ -11,12 +11,13 @@ only; call and exit rules carry the neutral weight.
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import KillGenElement, killgen_algebra
-from .automaton import POST, PAutomaton
-from .errors import IterationLimitExceededError, ParseError, ValidationError
+from .automaton import PAutomaton, readout_start, then, transition_key
+from .errors import ParseError, ValidationError
 from .pds import IDENTIFIER_RE, PushdownSystem, Rule
 
 CONTROL_LOCATION = "p"
@@ -52,12 +53,6 @@ class ICFG:
     intra_edges: tuple
     call_edges: tuple
     main: str
-
-    def procedure(self, name: str) -> Procedure:
-        for proc in self.procedures:
-            if proc.name == name:
-                return proc
-        raise KeyError(name)
 
 
 def validate_icfg(g: ICFG) -> None:
@@ -132,82 +127,45 @@ def all_nodes(g: ICFG) -> list:
 # per-node result table
 
 
-def _state_to_final_join(aut: PAutomaton, sol, max_rounds: int = 10_000) -> dict:
-    """Join of run weights from each state to the final states.
-
-    Forward direction multiplies in reverse run order, backward in run
-    order; epsilon transitions are excluded because a run can only take
-    one as its very first step, which the caller accounts for.
-    """
-    alg = sol.algebra
-    dist: dict = {q: None for q in aut.states}
-    for q in aut.finals:
-        dist[q] = alg.one
-
-    def merged(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return alg.combine(a, b)
-
-    for _ in range(max_rounds):
-        changed = False
-        for t in sorted(aut.transitions, key=lambda t: t.text()):
-            if t.label is None:
-                continue
-            via = dist[t.dst]
-            if via is None:
-                continue
-            if aut.direction == POST:
-                candidate = alg.extend(via, sol[t])
-            else:
-                candidate = alg.extend(sol[t], via)
-            new = merged(dist[t.src], candidate)
-            if dist[t.src] is None or alg.render(new) != alg.render(dist[t.src]):
-                dist[t.src] = new
-                changed = True
-        if not changed:
-            return dist
-    raise IterationLimitExceededError(
-        f"state-to-final join did not stabilize in {max_rounds} rounds"
-    )
-
-
 def analysis_report(g: ICFG, direction: str, sol, aut: PAutomaton) -> dict:
     """Per-node weights: for each node, the join of the query over every
     accepted configuration with that node on top of the stack, or None
-    when no accepted configuration has it on top."""
+    when no accepted configuration has it on top.  A node joins
+    ``start (x) l(t) (x) rest[t.dst]`` over the first transitions ``t``
+    reading it, as ``query`` multiplies; ``rest[q]`` joins the labeled
+    runs from ``q`` to a final state."""
     alg = sol.algebra
-    dist = _state_to_final_join(aut, sol)
+    step = then(aut, alg)
+    into: dict = {}  # dst -> labeled transitions
+    for t in sorted(aut.transitions, key=transition_key):
+        if t.label is not None:
+            into.setdefault(t.dst, []).append(t)
+    rest = {q: alg.one for q in sorted(aut.finals)}
+    todo = OrderedDict.fromkeys(rest)  # a FIFO queue that holds a state once
+    while todo:
+        q, _ = todo.popitem(last=False)
+        joined: dict = {}  # src -> join over the transitions into q
+        for t in into.get(q, ()):
+            value = step(sol.value(t), rest[q])
+            joined[t.src] = alg.combine(joined[t.src], value) if t.src in joined else value
+        for src, value in joined.items():
+            old = rest.get(src)
+            value = value if old is None else alg.combine(old, value)
+            if old is None or not alg.eq(value, old):
+                rest[src] = value
+                todo[src] = None
+
     table: dict = {n: None for n in all_nodes(g)}
-
-    def add(node, value):
-        if node not in table:
-            return
-        table[node] = value if table[node] is None else alg.combine(table[node], value)
-
     for p in sorted(aut.initials):
-        firsts = [((), t) for t in aut.outgoing(p) if t.label is not None]
-        if direction == POST:
-            for te in aut.outgoing(p):
-                if te.label is None:
-                    firsts += [
-                        ((te,), t)
-                        for t in aut.outgoing(te.dst)
-                        if t.label is not None
-                    ]
-        for eps_prefix, t in firsts:
-            rest = dist[t.dst]
-            if rest is None:
-                continue
-            if direction == POST:
-                value = alg.extend(rest, sol[t])
-                for te in eps_prefix:
-                    value = alg.extend(value, sol[te])
-            else:
-                value = alg.extend(sol[t], rest)
-            add(t.label, value)
+        for q, start in readout_start(aut, sol, p):
+            for t in aut.outgoing(q):
+                if t.label not in table or t.dst not in rest:
+                    continue
+                value = step(sol.value(t), rest[t.dst])
+                if q != p:  # after an epsilon step; the empty run weighs one
+                    value = step(start, value)
+                old = table[t.label]
+                table[t.label] = value if old is None else alg.combine(old, value)
     return table
 
 

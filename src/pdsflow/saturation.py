@@ -261,26 +261,29 @@ def transition_witness(result: SaturationResult, pds: PushdownSystem,
         first_entry.setdefault(entry.transition, entry)
     originals = result.original.transitions
 
-    def build(t: Transition) -> tuple:
+    def parts(t: Transition) -> list:
+        """Rules, and matched transitions standing for their witnesses."""
         if t in originals:
             if direction == PRE:
-                return (Rule(t.src, t.label, t.dst, (), alg.one),)
-            return (Rule(t.dst, None, t.src, (t.label,), alg.one),)
+                return [Rule(t.src, t.label, t.dst, (), alg.one)]
+            return [Rule(t.dst, None, t.src, (t.label,), alg.one)]
         entry = first_entry[t]
         r = entry.rule
         if direction == PRE:
-            parts = [(r,)]
-            parts.extend(build(m) for m in entry.matched)
-            return tuple(x for part in parts for x in part)
-        # forward direction
+            return [r, *entry.matched]
         if len(r.to_word) == 2:
             mid = mid_location(r.to_loc, r.to_word[0])
             if t.src == r.to_loc and t.dst == mid:
-                return (Rule(mid, None, r.to_loc, (r.to_word[0],), alg.one),)
-            split = Rule(r.from_loc, r.from_sym, mid, (r.to_word[1],), r.weight)
-            path = tuple(x for m in entry.matched for x in build(m))
-            return path + (split,)
-        path = tuple(x for m in entry.matched for x in build(m))
-        return path + (r,)
+                return [Rule(mid, None, r.to_loc, (r.to_word[0],), alg.one)]
+            r = Rule(r.from_loc, r.from_sym, mid, (r.to_word[1],), r.weight)
+        return [*entry.matched, r]
 
-    return build(t)
+    # an explicit stack: derivations may outgrow the recursion limit
+    sequence, todo = [], [t]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Rule):
+            sequence.append(x)
+        else:
+            todo.extend(reversed(parts(x)))
+    return tuple(sequence)

@@ -1,0 +1,55 @@
+"""Inputs that once escaped as uncaught Python exceptions."""
+
+import pytest
+
+from pdsflow import (
+    Configuration,
+    Transition,
+    load_automaton,
+    load_pds,
+    pre_star,
+    query,
+    solve_least,
+    transition_witness,
+)
+from pdsflow.automaton import PRE
+from pdsflow.cli import main
+
+from test_cli import AUT_PRE, PDS, run
+
+
+def test_bool_weight_other_than_zero_or_one_is_format_error(capsys, tmp_path):
+    pds = tmp_path / "bad.pds"
+    pds.write_text("algebra bool\nrule <p, a> -> <p, eps> weight 2\n")
+    code, _, err = run(
+        capsys, "query", "--pds", str(pds), "--automaton", AUT_PRE,
+        "--direction", "pre", "--config", "<p: a end>",
+    )
+    assert code == 2
+    assert err.startswith("error:")
+    assert f"{pds}:2" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--depth", "0"), ("--stack", "-1")])
+def test_oracle_bounds_out_of_range_exit_two(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--pds", PDS, "--automaton", AUT_PRE,
+              "--direction", "pre", "--mode", "soundness", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_witness_of_a_long_swap_chain():
+    """<p, a_i> -> <p, a_(i+1)> for i < 1500 derives l(p, a_0, f) in
+    1500 steps, deeper than the interpreter's recursion limit."""
+    n = 1500
+    pds = load_pds("algebra minplus\n" + "".join(
+        f"rule <p, a{i}> -> <p, a{i + 1}> weight 1\n" for i in range(n)))
+    aut = load_automaton(f"final f\ntrans p a{n} f\n", pds, PRE)
+    result = pre_star(pds, aut)
+    sol = solve_least(result.constraints, pds.algebra)
+    assert query(result.automaton, sol, Configuration("p", ("a0",))) == n
+    witness = transition_witness(result, pds, Transition("p", "a0", "f"))
+    assert [r.from_sym for r in witness] == [f"a{i}" for i in range(n + 1)]
+    assert list(witness[:n]) == sorted(pds.rules, key=lambda r: int(r.from_sym[1:]))
+    assert (witness[n].to_loc, witness[n].to_word) == ("f", ())
