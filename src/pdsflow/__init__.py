@@ -7,6 +7,8 @@ brute-force oracle validates the whole pipeline against enumerated rule
 sequences.
 """
 
+from types import ModuleType as _ModuleType
+
 from .algebra import (
     FlowAlgebra,
     FiniteLattice,
@@ -91,4 +93,6 @@ from .solver import (
     solve_least,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, without the submodules the imports also bind
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

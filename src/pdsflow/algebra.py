@@ -26,8 +26,6 @@ from .errors import (
 MAX_EXHAUSTIVE_PAIRS = 4096
 MAX_EXHAUSTIVE_TRIPLES = 32768
 
-IDENTIFIER_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
-
 
 @dataclass(frozen=True)
 class FlowAlgebra:
@@ -38,9 +36,10 @@ class FlowAlgebra:
     element ``one``, monotone on both sides with respect to the order
     induced by combine (a below b iff combine(a, b) equals b).
 
-    Element equality is canonical-text equality: two elements are the
-    same iff they render identically.  ``parse`` must invert ``render``
-    on every element any operation can produce.
+    Elements are hashable values compared with ``==``.  ``render`` gives
+    equal elements equal text and distinct elements distinct text, and
+    ``parse`` inverts ``render`` on every element any operation can
+    produce.
 
     ``elements`` enumerates the carrier explicitly when that is
     feasible; ``None`` marks an abstract carrier whose elements are
@@ -58,11 +57,11 @@ class FlowAlgebra:
     header_params: str = ""
 
     def eq(self, a, b) -> bool:
-        return self.render(a) == self.render(b)
+        return a == b
 
     def leq(self, a, b) -> bool:
         """Induced partial order: a is below b iff combine(a, b) = b."""
-        return self.eq(self.combine(a, b), b)
+        return self.combine(a, b) == b
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +111,8 @@ def killgen_algebra(domain: Iterable[str]) -> FlowAlgebra:
     ({}, {}).  zero annihilates from the right but not from the left,
     so this is not an idempotent semiring.
     """
+    from .pds import IDENTIFIER_RE  # local import avoids a cycle
+
     dom = frozenset(domain)
     if not dom:
         raise EmptyDomainError("kill/gen domain must be nonempty")
@@ -221,8 +222,8 @@ def boolean_algebra() -> FlowAlgebra:
 class FiniteLattice:
     """An explicit finite join-semilattice with a least element.
 
-    Elements are kept in canonical (render-sorted) order; the least
-    element is located by search and must exist.
+    Elements are hashable values, kept in render-sorted order; the
+    least element is located by search and must exist.
     """
 
     def __init__(self, elements: Iterable, join: Callable[[Any, Any], Any],
@@ -232,25 +233,23 @@ class FiniteLattice:
         if not self.elements:
             raise ValueError("lattice must be nonempty")
         self.join = join
-        self._index = {render(e): i for i, e in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
-            raise ValueError("lattice elements must render distinctly")
+        self._index = {e: i for i, e in enumerate(self.elements)}
+        texts = {render(e) for e in self.elements}
+        if not len(self._index) == len(texts) == len(self.elements):
+            raise ValueError("lattice elements must be distinct and render distinctly")
         self.bottom = self._find_bottom()
 
     def _find_bottom(self):
         for cand in self.elements:
-            if all(self.eq(self.join(cand, x), x) for x in self.elements):
+            if all(self.join(cand, x) == x for x in self.elements):
                 return cand
         raise ValueError("lattice has no least element")
 
-    def eq(self, a, b) -> bool:
-        return self.render(a) == self.render(b)
-
     def leq(self, a, b) -> bool:
-        return self.eq(self.join(a, b), b)
+        return self.join(a, b) == b
 
     def index(self, element) -> int:
-        return self._index[self.render(element)]
+        return self._index[element]
 
 
 def powerset_lattice(domain: Iterable[str]) -> FiniteLattice:
@@ -359,23 +358,22 @@ def tabulated_framework_algebra(
     def pointwise_join(f: tuple, g: tuple) -> tuple:
         return tuple(lattice.join(a, b) for a, b in zip(f, g))
 
-    carrier = {table_render(t): t for t in seed}
-    worklist = list(carrier.values())
+    carrier = dict.fromkeys(seed)  # insertion-ordered set
+    worklist = list(carrier)
     while worklist:
         f = worklist.pop()
-        for g in list(carrier.values()):
+        for g in list(carrier):
             for h in (compose(f, g), compose(g, f),
                       pointwise_join(f, g)):
-                key = table_render(h)
-                if key not in carrier:
-                    carrier[key] = h
+                if h not in carrier:
+                    carrier[h] = None
                     worklist.append(h)
                     if len(carrier) > max_carrier:
                         raise ClosureExplosionError(
                             f"function-space closure exceeded {max_carrier} tables"
                         )
 
-    elements = tuple(carrier[k] for k in sorted(carrier))
+    elements = tuple(sorted(carrier, key=table_render))
     return FlowAlgebra(
         name="tabulated",
         zero=const_bottom,
@@ -463,13 +461,6 @@ class LawReport:
         return "\n".join(lines)
 
 
-def _dedupe(alg: FlowAlgebra, items: Iterable) -> list:
-    seen = {}
-    for x in items:
-        seen.setdefault(alg.render(x), x)
-    return list(seen.values())
-
-
 def check_laws(
     alg: FlowAlgebra,
     samples: Optional[Sequence] = None,
@@ -489,7 +480,7 @@ def check_laws(
             f"algebra {alg.name!r} has an abstract carrier; provide samples"
         )
 
-    sample_pool = _dedupe(alg, list(samples or ()) + [alg.zero, alg.one])
+    sample_pool = list(dict.fromkeys([*(samples or ()), alg.zero, alg.one]))
     if alg.elements is not None:
         full = list(alg.elements)
     else:

@@ -190,6 +190,13 @@ def load_automaton(
 # acceptance and runs
 
 
+def _check_initial(aut: PAutomaton, c: Configuration) -> None:
+    if c.loc not in aut.initials:
+        raise UnknownLocationError(
+            f"{c.loc!r} is not an initial state of the automaton"
+        )
+
+
 def accepting_runs(aut: PAutomaton, c: Configuration) -> list:
     """Every accepting run for ``c``, in lexicographic transition order.
 
@@ -197,10 +204,7 @@ def accepting_runs(aut: PAutomaton, c: Configuration) -> list:
     saturation; a run may use at most one, and only as its first step
     out of the initial state.
     """
-    if c.loc not in aut.initials:
-        raise UnknownLocationError(
-            f"{c.loc!r} is not an initial state of the automaton"
-        )
+    _check_initial(aut, c)
     stack = c.stack
     n = len(stack)
     finals = aut.finals
@@ -229,7 +233,16 @@ def accepting_runs(aut: PAutomaton, c: Configuration) -> list:
 
 
 def accepts(aut: PAutomaton, c: Configuration) -> bool:
-    return bool(accepting_runs(aut, c))
+    """Whether ``c`` has an accepting run.  One walk over the stack keeps
+    the set of states a run can be in, starting from the initial state
+    and, forward, the targets of one leading epsilon step."""
+    _check_initial(aut, c)
+    here = {c.loc}
+    if aut.direction == POST:
+        here |= {t.dst for t in aut.outgoing(c.loc) if t.label is None}
+    for sym in c.stack:
+        here = {t.dst for q in here for t in aut.outgoing(q) if t.label == sym}
+    return not here.isdisjoint(aut.finals)
 
 
 def accepted_configs(aut: PAutomaton, max_stack: int) -> list:
@@ -306,18 +319,15 @@ def query(aut: PAutomaton, sol, c: Configuration):
     """Join of the weighted readouts over all accepting runs of ``c``.
 
     One walk over the stack keeps, per state, each distinct prefix value
-    once (by ``render``, the element equality).  Runs that reach a state
-    with one value continue alike and combine is idempotent, so this is
-    the join over ``accepting_runs`` in every flow algebra."""
-    if c.loc not in aut.initials:
-        raise UnknownLocationError(
-            f"{c.loc!r} is not an initial state of the automaton"
-        )
+    once.  Runs that reach a state with one value continue alike and
+    combine is idempotent, so this is the join over ``accepting_runs``
+    in every flow algebra."""
+    _check_initial(aut, c)
     alg = sol.algebra
     step = then(aut, alg)
-    here: dict = {}  # state -> rendered text -> prefix value
+    here: dict = {}  # state -> insertion-ordered set of prefix values
     for q, v in readout_start(aut, sol, c.loc):
-        here.setdefault(q, {})[alg.render(v)] = v
+        here.setdefault(q, {})[v] = None
     for sym in c.stack:
         nxt: dict = {}
         for q, values in here.items():
@@ -326,12 +336,11 @@ def query(aut: PAutomaton, sol, c: Configuration):
                     continue
                 w = sol.value(t)
                 into = nxt.setdefault(t.dst, {})
-                for v in values.values():
-                    v = step(v, w)
-                    into.setdefault(alg.render(v), v)
+                for v in values:
+                    into[step(v, w)] = None
         here = nxt
     ends = [v for q, values in here.items() if q in aut.finals
-            for v in values.values()]
+            for v in values]
     if not ends:
         raise NotAcceptedError(f"configuration {c.text()} is not accepted")
     return reduce(alg.combine, ends)

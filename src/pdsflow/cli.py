@@ -54,6 +54,10 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"cannot read {path}: not UTF-8 text (byte {exc.start})"
+        ) from exc
 
 
 def _write(path, text: str) -> None:
@@ -202,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pds", required=True)
     p.add_argument("--automaton", required=True)
     p.add_argument("--direction", choices=(PRE, POST), required=True)
-    p.add_argument("--max-steps", type=int, default=1_000_000)
+    p.add_argument("--max-steps", type=_at_least(1), default=1_000_000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_solve)
 
@@ -211,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--automaton", required=True)
     p.add_argument("--direction", choices=(PRE, POST), required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--max-steps", type=int, default=1_000_000)
+    p.add_argument("--max-steps", type=_at_least(1), default=1_000_000)
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("oracle", help="brute-force check of the results")

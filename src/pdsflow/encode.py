@@ -151,7 +151,7 @@ def analysis_report(g: ICFG, direction: str, sol, aut: PAutomaton) -> dict:
         for src, value in joined.items():
             old = rest.get(src)
             value = value if old is None else alg.combine(old, value)
-            if old is None or not alg.eq(value, old):
+            if value != old:
                 rest[src] = value
                 todo[src] = None
 

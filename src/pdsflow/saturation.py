@@ -88,13 +88,10 @@ def _saturate(pds: PushdownSystem, aut: PAutomaton,
     Every transition, original or added, is popped once; popping it
     indexes it and fires each rule match that uses it together with
     transitions popped before.  A constraint is kept once per key made
-    of its right-hand side, its transition factors and its constant's
-    rendered text, which together fix the constraint's text.
+    of its right-hand side, its transition factors and its constant.
     """
     validate_input_automaton(aut)
     alg = pds.algebra
-    one = (Const(alg.one), alg.render(alg.one))
-    rules = [(r, (Const(r.weight), alg.render(r.weight))) for r in pds.rules]
     transitions: dict = {}  # insertion-ordered set
     constraints: dict = {}
     trace: list = []
@@ -103,11 +100,11 @@ def _saturate(pds: PushdownSystem, aut: PAutomaton,
     eps_into: dict = {}  # dst -> popped epsilon transitions
 
     def emit(t, before, w, after, rule=None) -> None:
-        """Record before (x) w (x) after <= t, and add t if it is new;
-        ``w`` is a constant with its rendered text."""
-        key = (t, before, w[1], after)
+        """Record before (x) w (x) after <= t for the constant ``w``, and
+        add t if it is new."""
+        key = (t, before, w, after)
         if key not in constraints:
-            lhs = tuple(map(Var, before)) + (w[0],) + tuple(map(Var, after))
+            lhs = tuple(map(Var, before)) + (Const(w),) + tuple(map(Var, after))
             constraints[key] = Constraint(lhs, t)
         if t not in transitions:
             transitions[t] = None
@@ -121,59 +118,60 @@ def _saturate(pds: PushdownSystem, aut: PAutomaton,
     transitions.update(dict.fromkeys(original))
     worklist.extend(original)
     for t in original:
-        emit(t, (), one, ())
+        emit(t, (), alg.one, ())
 
     if aut.direction == PRE:
         first: dict = {}  # (to_loc, to_word[0]) -> swap and push rules
         second: dict = {}  # to_word[1] -> push rules
-        for r, w in rules:
+        for r in pds.rules:
             if not r.to_word:
-                emit(Transition(r.from_loc, r.from_sym, r.to_loc), (), w, (), r)
+                emit(Transition(r.from_loc, r.from_sym, r.to_loc),
+                     (), r.weight, (), r)
                 continue
-            first.setdefault((r.to_loc, r.to_word[0]), []).append((r, w))
+            first.setdefault((r.to_loc, r.to_word[0]), []).append(r)
             if len(r.to_word) == 2:
-                second.setdefault(r.to_word[1], []).append((r, w))
+                second.setdefault(r.to_word[1], []).append(r)
 
         def fire(t: Transition) -> None:
-            for r, w in first.get((t.src, t.label), ()):
+            for r in first.get((t.src, t.label), ()):
                 if len(r.to_word) == 1:
                     emit(Transition(r.from_loc, r.from_sym, t.dst),
-                         (), w, (t,), r)
+                         (), r.weight, (t,), r)
                     continue
                 for t2 in popped(t.dst, r.to_word[1]):
                     emit(Transition(r.from_loc, r.from_sym, t2.dst),
-                         (), w, (t, t2), r)
-            for r, w in second.get(t.label, ()):
+                         (), r.weight, (t, t2), r)
+            for r in second.get(t.label, ()):
                 for t1 in popped(r.to_loc, r.to_word[0]):
                     if t1.dst == t.src:
                         emit(Transition(r.from_loc, r.from_sym, t.dst),
-                             (), w, (t1, t), r)
+                             (), r.weight, (t1, t), r)
     else:
         by_lhs: dict = {}  # (from_loc, from_sym) -> rules
-        for r, w in rules:
-            by_lhs.setdefault((r.from_loc, r.from_sym), []).append((r, w))
+        for r in pds.rules:
+            by_lhs.setdefault((r.from_loc, r.from_sym), []).append(r)
 
-        def apply(r: Rule, w: tuple, q: str, path: tuple) -> None:
+        def apply(r: Rule, q: str, path: tuple) -> None:
             if len(r.to_word) == 2:
                 mid = mid_location(r.to_loc, r.to_word[0])
-                emit(Transition(r.to_loc, r.to_word[0], mid), (), one, (), r)
+                emit(Transition(r.to_loc, r.to_word[0], mid), (), alg.one, (), r)
                 t_new = Transition(mid, r.to_word[1], q)
             else:
                 label = r.to_word[0] if r.to_word else None
                 t_new = Transition(r.to_loc, label, q)
-            emit(t_new, path, w, (), r)
+            emit(t_new, path, r.weight, (), r)
 
         def fire(t: Transition) -> None:
-            for r, w in by_lhs.get((t.src, t.label), ()):
-                apply(r, w, t.dst, (t,))
+            for r in by_lhs.get((t.src, t.label), ()):
+                apply(r, t.dst, (t,))
             for te in eps_into.get(t.src, ()):
-                for r, w in by_lhs.get((te.src, t.label), ()):
-                    apply(r, w, t.dst, (t, te))
+                for r in by_lhs.get((te.src, t.label), ()):
+                    apply(r, t.dst, (t, te))
             if t.label is None:
                 for label, after in out.get(t.dst, {}).items():
-                    for r, w in by_lhs.get((t.src, label), ()):
+                    for r in by_lhs.get((t.src, label), ()):
                         for t2 in after:
-                            apply(r, w, t2.dst, (t2, t))
+                            apply(r, t2.dst, (t2, t))
 
     while worklist:
         t = worklist.popleft()

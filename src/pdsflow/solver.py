@@ -130,7 +130,7 @@ def solve_least(constraints, alg: FlowAlgebra,
         v = eval_lhs(sol, c)
         cur = assignment[c.rhs]
         new = alg.combine(cur, v)
-        if alg.render(new) != alg.render(cur):
+        if new != cur:
             assignment[c.rhs] = new
             changes += 1
             for j in dependents.get(c.rhs, ()):
@@ -149,7 +149,7 @@ def iterate_to_fixpoint(constraints, alg: FlowAlgebra,
     sol = Solution(alg, {t: alg.zero for t in variables})
     for _ in range(max_rounds):
         nxt = apply_F(sol, constraints)
-        if all(alg.render(nxt[t]) == alg.render(sol[t]) for t in variables):
+        if nxt.assignment == sol.assignment:
             return nxt
         sol = nxt
     raise IterationLimitExceededError(

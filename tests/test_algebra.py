@@ -10,6 +10,7 @@ from pdsflow import (
     boolean_algebra,
     check_laws,
     killgen_algebra,
+    load_pds,
     minplus_algebra,
     powerset_lattice,
     tabulated_framework_algebra,
@@ -21,6 +22,8 @@ from pdsflow.errors import (
     NonMonotoneFunctionError,
     NoSamplesError,
 )
+
+from test_reference_readout import NON_DISTRIBUTIVE, tabulated_instance
 
 
 def kg(kill, gen):
@@ -278,3 +281,50 @@ class TestCheckLaws:
         assert report.verdict("annihilates-left").status == "fails"
         assert report.verdict("distributes-left").status == "holds"
         assert report.classification == "distributive flow algebra"
+
+
+def _contract_domains():
+    """(algebra, elements) for every built-in domain: the killgen and
+    bool carriers, the tabulated closures the tests use, and minplus
+    samples with their sums and minima."""
+    domains = [(f"killgen-{n}", killgen_algebra("abc"[:n])) for n in (1, 2, 3)]
+    domains.append(("bool", boolean_algebra()))
+    two_point = FiniteLattice(
+        ["bot", "top"], lambda a, b: "top" if "top" in (a, b) else "bot")
+    domains.append(("two-point", tabulated_framework_algebra(
+        two_point, [{"bot": "top", "top": "top"}])))
+    pairs = killgen_algebra({"a", "b"})
+    lat = powerset_lattice({"a", "b"})
+    domains.append(("killgen-tables", tabulated_framework_algebra(
+        lat, [e.apply for e in pairs.elements])))
+    domains.append(("tabulated-a", load_pds("algebra tabulated domain={a}\n").algebra))
+    domains.append(("non-distributive", load_pds(NON_DISTRIBUTIVE).algebra))
+    domains += [(f"tabulated-{seed}", tabulated_instance(seed)[0].algebra)
+                for seed in range(20)]
+    cases = [pytest.param(alg, alg.elements, id=name) for name, alg in domains]
+    mp = minplus_algebra()
+    samples = [0, 1, 2, 5, 17, INF]
+    samples += [op(a, b) for a, b in itertools.product(samples, repeat=2)
+                for op in (mp.combine, mp.extend)]
+    cases.append(pytest.param(mp, samples, id="minplus"))
+    return cases
+
+
+class TestValueContract:
+    """Elements are values: ``==`` agrees with equality of rendered
+    text, and ``parse`` inverts ``render``."""
+
+    @pytest.mark.parametrize("alg, elements", _contract_domains())
+    def test_equality_is_render_equality(self, alg, elements):
+        texts = [alg.render(x) for x in elements]
+        for (a, ta), (b, tb) in itertools.product(zip(elements, texts), repeat=2):
+            assert (a == b) == (ta == tb), (ta, tb)
+        assert len(set(elements)) == len(set(texts))
+        for a, text in zip(elements, texts):
+            assert alg.parse(text) == a
+        if alg.name == "tabulated":
+            assert texts == sorted(texts)
+
+    def test_lattice_rejects_distinct_elements_with_equal_text(self):
+        with pytest.raises(ValueError):
+            FiniteLattice([1, "1"], lambda a, b: b)

@@ -1,6 +1,8 @@
 """Acceptance, run enumeration, and weighted readout."""
 
+import itertools
 import random
+import time
 
 import pytest
 
@@ -31,6 +33,8 @@ from pdsflow.errors import (
     ParseError,
     UnknownLocationError,
 )
+
+from instances import instance
 
 MP = minplus_algebra()
 
@@ -105,6 +109,32 @@ class TestAcceptance:
         for stack in [("a", "end"), ("end",), ("a",), ("b", "b", "end")]:
             c = cfg("p", *stack)
             assert accepts(saturated, c) == bool(accepting_runs(saturated, c))
+        accepted = 0
+        for seed, loop_free in itertools.product(range(40), (False, True)):
+            system, *auts = instance(seed, "minplus", loop_free)
+            for aut in auts:
+                saturate = pre_star if aut.direction == PRE else post_star
+                saturated = saturate(system, aut).automaton
+                alphabet = sorted(saturated.alphabet)
+                for p, n in itertools.product(sorted(saturated.initials), range(4)):
+                    for stack in itertools.product(alphabet, repeat=n):
+                        c = cfg(p, *stack)
+                        expected = bool(accepting_runs(saturated, c))
+                        assert accepts(saturated, c) == expected, c.text()
+                        accepted += expected
+        assert accepted > 1000
+
+    def test_ambiguous_automaton(self):
+        """<p: a^40 z> has 2^40 accepting runs; deciding acceptance must
+        not enumerate them."""
+        system = load_pds("algebra minplus\n" + "".join(
+            f"rule <{x}, a> -> <{y}, eps> weight 1\n" for x in "pr" for y in "pr"))
+        aut = load_automaton("final f\ntrans p z f\ntrans r z f\n", system, PRE)
+        saturated = pre_star(system, aut).automaton
+        started = time.perf_counter()
+        assert accepts(saturated, cfg("p", *["a"] * 40, "z"))
+        assert not accepts(saturated, cfg("p", *["a"] * 40))
+        assert time.perf_counter() - started < 1.0
 
 
 class TestRuns:

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from pdsflow.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -61,6 +63,18 @@ class TestSolve:
         assert code == 3
         assert err.startswith("error:")
         assert "\n" not in err.strip()
+
+    @pytest.mark.parametrize("command", ["solve", "query"])
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    def test_max_steps_below_one_exit_two(self, capsys, command, steps):
+        argv = [command, "--pds", PDS, "--automaton", AUT_PRE,
+                "--direction", "pre", "--max-steps", steps]
+        if command == "query":
+            argv += ["--config", "<p: a end>"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--max-steps" in capsys.readouterr().err
 
 
 class TestQuery:
@@ -151,6 +165,17 @@ class TestSaturate:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    def test_non_utf8_file_is_format_error(self, capsys, tmp_path):
+        bad = tmp_path / "latin.pds"
+        bad.write_bytes(b"algebra minplus\nrule <p, a> -> <p, eps> weight 1\xff\n")
+        code, out, err = run(
+            capsys, "query", "--pds", str(bad), "--automaton", AUT_PRE,
+            "--direction", "pre", "--config", "<p: a end>",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {bad}:")
 
     def test_parse_error_names_file_and_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.pds"
