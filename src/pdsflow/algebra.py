@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import itertools
 import re
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional
 
 from .errors import (
     ClosureExplosionError,
@@ -42,8 +44,8 @@ class FlowAlgebra:
     produce.
 
     ``elements`` enumerates the carrier explicitly when that is
-    feasible; ``None`` marks an abstract carrier whose elements are
-    only produced by operations.
+    feasible, as a sequence; ``None`` marks an abstract carrier whose
+    elements are only produced by operations.
     """
 
     name: str
@@ -53,7 +55,7 @@ class FlowAlgebra:
     extend: Callable[[Any, Any], Any]
     render: Callable[[Any], str]
     parse: Callable[[str], Any]
-    elements: Optional[tuple] = None
+    elements: Optional[Sequence] = None
     header_params: str = ""
 
     def eq(self, a, b) -> bool:
@@ -67,22 +69,79 @@ class FlowAlgebra:
 # ---------------------------------------------------------------------------
 # kill/gen transfer functions
 
+# One fact <-> bit table for every kill/gen element in the process, so
+# that elements built from fact sets compare by value without naming
+# their algebra.  Bits follow first-seen order; nothing that is output
+# depends on them, as rendering sorts fact names.
+_FACT_BITS: dict = {}  # fact name -> single-bit mask
+_FACT_NAMES: list = []  # bit position -> fact name
+_FACT_LOCK = threading.Lock()
 
-@dataclass(frozen=True)
-class KillGenElement:
+
+def _intern(facts: Iterable[str]) -> None:
+    with _FACT_LOCK:
+        for fact in facts:
+            if fact not in _FACT_BITS:  # name first: readers take no lock
+                _FACT_NAMES.append(fact)
+                _FACT_BITS[fact] = 1 << (len(_FACT_NAMES) - 1)
+
+
+def _mask(facts: Iterable[str]) -> int:
+    """The bitmask of a fact set, interning names not seen before."""
+    facts = frozenset(facts)  # no copy for a frozenset; distinct bits sum
+    try:
+        return sum(map(_FACT_BITS.__getitem__, facts))
+    except KeyError:
+        _intern(facts)
+        return sum(map(_FACT_BITS.__getitem__, facts))
+
+
+def _fact_set(mask: int) -> frozenset:
+    names = []
+    while mask:
+        low = mask & -mask
+        names.append(_FACT_NAMES[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(names)
+
+
+class KillGenElement(tuple):
     """A transfer function l -> (l \\ kill) | gen, kept as the raw pair.
 
-    Pairs are not normalized: kill and gen may overlap.
+    Pairs are not normalized: kill and gen may overlap.  The pair is
+    held as two bitmasks over the process-wide fact table (a tuple, so
+    that equality and hashing are the tuple's); ``kill`` and ``gen``
+    are its fact-set views.
     """
 
-    kill: frozenset
-    gen: frozenset
+    __slots__ = ()
+
+    def __new__(cls, kill: Iterable[str], gen: Iterable[str]):
+        return tuple.__new__(cls, (_mask(kill), _mask(gen)))
+
+    @property
+    def kill(self) -> frozenset:
+        return _fact_set(self[0])
+
+    @property
+    def gen(self) -> frozenset:
+        return _fact_set(self[1])
 
     def apply(self, facts: frozenset) -> frozenset:
         return (facts - self.kill) | self.gen
 
+    def __repr__(self) -> str:
+        return f"KillGenElement(kill={self.kill!r}, gen={self.gen!r})"
 
-def _set_text(s: frozenset) -> str:
+    def __reduce__(self):
+        # bits are private to a process; names are not
+        return (KillGenElement, (self.kill, self.gen))
+
+
+_pair = tuple.__new__  # _pair(KillGenElement, (kill, gen)) from masks
+
+
+def _set_text(s: Iterable[str]) -> str:
     return "{" + ",".join(sorted(s)) + "}"
 
 
@@ -103,6 +162,29 @@ def _parse_set_text(text: str, domain: frozenset) -> frozenset:
 _KILLGEN_RE = re.compile(r"kill=(\{[^}]*\})\s+gen=(\{[^}]*\})\Z")
 
 
+class _LazyCarrier(Sequence):
+    """A carrier of known size, enumerated when first read."""
+
+    def __init__(self, size: int, build: Callable[[], tuple]):
+        self._size = size
+        self._build = build
+        self._items: Optional[tuple] = None
+
+    def _all(self) -> tuple:
+        if self._items is None:
+            self._items = self._build()
+        return self._items
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, i):
+        return self._all()[i]
+
+    def __iter__(self):
+        return iter(self._all())
+
+
 def killgen_algebra(domain: Iterable[str]) -> FlowAlgebra:
     """The kill/gen weight domain over a finite fact set.
 
@@ -119,15 +201,26 @@ def killgen_algebra(domain: Iterable[str]) -> FlowAlgebra:
     for fact in dom:
         if not IDENTIFIER_RE.match(fact):
             raise ValueError(f"invalid fact name {fact!r}")
+    ordered = sorted(dom)
+    _intern(ordered)  # bits in name order, whatever the set's iteration order
 
     def combine(a: KillGenElement, b: KillGenElement) -> KillGenElement:
-        return KillGenElement(a.kill & b.kill, a.gen | b.gen)
+        return _pair(KillGenElement, (a[0] & b[0], a[1] | b[1]))
 
     def extend(a: KillGenElement, b: KillGenElement) -> KillGenElement:
-        return KillGenElement(a.kill | b.kill, (a.gen - b.kill) | b.gen)
+        kill = b[0]
+        return _pair(KillGenElement, (a[0] | kill, (a[1] & ~kill) | b[1]))
+
+    texts: dict = {}  # mask -> set literal, so a mask is decoded once
+
+    def set_text(mask: int) -> str:
+        text = texts.get(mask)
+        if text is None:
+            text = texts[mask] = _set_text(_fact_set(mask))
+        return text
 
     def render(a: KillGenElement) -> str:
-        return f"kill={_set_text(a.kill)} gen={_set_text(a.gen)}"
+        return f"kill={set_text(a[0])} gen={set_text(a[1])}"
 
     def parse(text: str) -> KillGenElement:
         m = _KILLGEN_RE.match(text.strip())
@@ -137,26 +230,25 @@ def killgen_algebra(domain: Iterable[str]) -> FlowAlgebra:
             _parse_set_text(m.group(1), dom), _parse_set_text(m.group(2), dom)
         )
 
-    elements = None
-    if len(dom) <= 8:
+    def carrier() -> tuple:
         subsets = [
-            frozenset(c)
-            for r in range(len(dom) + 1)
-            for c in itertools.combinations(sorted(dom), r)
+            _mask(c)
+            for r in range(len(ordered) + 1)
+            for c in itertools.combinations(ordered, r)
         ]
-        elements = tuple(
-            KillGenElement(k, g) for k in subsets for g in subsets
+        return tuple(
+            _pair(KillGenElement, (k, g)) for k in subsets for g in subsets
         )
 
     return FlowAlgebra(
         name="killgen",
-        zero=KillGenElement(dom, frozenset()),
-        one=KillGenElement(frozenset(), frozenset()),
+        zero=_pair(KillGenElement, (_mask(ordered), 0)),
+        one=_pair(KillGenElement, (0, 0)),
         combine=combine,
         extend=extend,
         render=render,
         parse=parse,
-        elements=elements,
+        elements=_LazyCarrier(4 ** len(dom), carrier) if len(dom) <= 8 else None,
         header_params=f"domain={_set_text(dom)}",
     )
 
@@ -273,6 +365,27 @@ def _as_table(lattice: FiniteLattice, fn) -> tuple:
     return tuple(fn[e] for e in lattice.elements)
 
 
+def _table_text(lattice: FiniteLattice, table: tuple) -> str:
+    cells = (
+        f"{lattice.render(inp)}->{lattice.render(out)}"
+        for inp, out in zip(lattice.elements, table)
+    )
+    return "[" + ",".join(cells) + "]"
+
+
+def check_monotone(lattice: FiniteLattice, table: tuple) -> None:
+    """Raise NonMonotoneFunctionError, with the first witness pair,
+    unless the function table preserves the lattice order."""
+    for i, a in enumerate(lattice.elements):
+        for j, b in enumerate(lattice.elements):
+            if lattice.leq(a, b) and not lattice.leq(table[i], table[j]):
+                raise NonMonotoneFunctionError(
+                    f"function {_table_text(lattice, table)} is not monotone: "
+                    f"{lattice.render(a)} <= {lattice.render(b)} but images violate the order",
+                    witness=(a, b),
+                )
+
+
 def tabulated_framework_algebra(
     lattice: FiniteLattice,
     functions: Sequence,
@@ -294,11 +407,7 @@ def tabulated_framework_algebra(
     n = len(lattice.elements)
 
     def table_render(table: tuple) -> str:
-        cells = (
-            f"{lattice.render(inp)}->{lattice.render(out)}"
-            for inp, out in zip(lattice.elements, table)
-        )
-        return "[" + ",".join(cells) + "]"
+        return _table_text(lattice, table)
 
     def table_parse(text: str) -> tuple:
         text = text.strip()
@@ -332,23 +441,13 @@ def tabulated_framework_algebra(
             raise ValueError("function table must cover the whole lattice")
         return tuple(cells[lattice.render(e)] for e in lattice.elements)
 
-    def check_monotone(table: tuple):
-        for i, a in enumerate(lattice.elements):
-            for j, b in enumerate(lattice.elements):
-                if lattice.leq(a, b) and not lattice.leq(table[i], table[j]):
-                    raise NonMonotoneFunctionError(
-                        f"function {table_render(table)} is not monotone: "
-                        f"{lattice.render(a)} <= {lattice.render(b)} but images violate the order",
-                        witness=(a, b),
-                    )
-
     identity = tuple(lattice.elements)
     const_bottom = tuple(lattice.bottom for _ in range(n))
 
     seed = [identity, const_bottom]
     for fn in functions:
         table = _as_table(lattice, fn)
-        check_monotone(table)
+        check_monotone(lattice, table)
         seed.append(table)
 
     def compose(f: tuple, g: tuple) -> tuple:
@@ -481,17 +580,13 @@ def check_laws(
         )
 
     sample_pool = list(dict.fromkeys([*(samples or ()), alg.zero, alg.one]))
-    if alg.elements is not None:
-        full = list(alg.elements)
-    else:
-        full = sample_pool
 
-    def pool_for(arity: int) -> tuple[list, bool]:
+    def pool_for(arity: int) -> tuple[Sequence, bool]:
         if alg.elements is None:
             return sample_pool, False
         budget = max_pairs if arity <= 2 else max_triples
-        if len(full) ** arity <= budget:
-            return full, True
+        if len(alg.elements) ** arity <= budget:
+            return alg.elements, True
         return sample_pool, False
 
     verdicts = {}

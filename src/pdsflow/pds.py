@@ -16,12 +16,13 @@ from typing import Any, Iterable, Optional, Sequence
 from .algebra import (
     FlowAlgebra,
     boolean_algebra,
+    check_monotone,
     killgen_algebra,
     minplus_algebra,
     powerset_lattice,
     tabulated_framework_algebra,
 )
-from .errors import ParseError
+from .errors import NonMonotoneFunctionError, ParseError
 
 IDENTIFIER_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
 
@@ -284,12 +285,13 @@ def load_pds(text: str, source: str = "<pds>") -> PushdownSystem:
     """Parse the line-based pushdown system format.
 
     The first significant line declares the algebra; every other
-    significant line is a rule.  Parse errors carry line numbers.  For
-    tabulated algebras the carrier is re-closed over the rule weights
-    once they are known, which also checks their monotonicity.
+    significant line is a rule.  Parse errors carry line numbers, and so
+    does a tabulated weight that is not monotone.  For tabulated
+    algebras the carrier is re-closed over the rule weights once they
+    are known.
     """
     algebra = None
-    tabulated_facts = None
+    lattice = None  # the tabulated algebra's lattice
     rules = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -304,7 +306,7 @@ def load_pds(text: str, source: str = "<pds>") -> PushdownSystem:
             params = parts[2] if len(parts) > 2 else ""
             algebra = _make_algebra(parts[1], params, source, lineno)
             if parts[1] == "tabulated":
-                tabulated_facts = _domain_facts(params, source, lineno)
+                lattice = powerset_lattice(_domain_facts(params, source, lineno))
             continue
         if line.startswith("rule"):
             if algebra is None:
@@ -334,16 +336,20 @@ def load_pds(text: str, source: str = "<pds>") -> PushdownSystem:
                 weight = algebra.parse(weight_text)
             except ValueError as exc:
                 raise ParseError(str(exc), source, lineno) from exc
+            if lattice is not None:
+                try:
+                    check_monotone(lattice, weight)
+                except NonMonotoneFunctionError as exc:
+                    raise NonMonotoneFunctionError(
+                        f"{source}:{lineno}: {exc}", witness=exc.witness,
+                    ) from exc
             rules.append(Rule(from_loc, from_sym, to_loc, word, weight))
             continue
         raise ParseError(f"unrecognized line: {line!r}", source, lineno)
     if algebra is None:
         raise ParseError("missing algebra line", source)
-    if tabulated_facts is not None and rules:
-        closed = tabulated_framework_algebra(
-            powerset_lattice(tabulated_facts),
-            [r.weight for r in rules],
-        )
+    if lattice is not None and rules:
+        closed = tabulated_framework_algebra(lattice, [r.weight for r in rules])
         algebra = dataclasses.replace(
             closed, header_params=algebra.header_params,
         )

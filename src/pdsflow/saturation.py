@@ -78,7 +78,9 @@ class SaturationResult:
 
 
 def render_constraints(result: SaturationResult, alg: FlowAlgebra) -> str:
-    return "\n".join(c.text(alg) for c in result.constraints) + "\n"
+    """The constraints as text, sorted by right-hand side, then by text."""
+    lines = sorted((c.rhs.text(), c.text(alg)) for c in result.constraints)
+    return "\n".join(text for _, text in lines) + "\n"
 
 
 def _saturate(pds: PushdownSystem, aut: PAutomaton,
@@ -89,6 +91,10 @@ def _saturate(pds: PushdownSystem, aut: PAutomaton,
     indexes it and fires each rule match that uses it together with
     transitions popped before.  A constraint is kept once per key made
     of its right-hand side, its transition factors and its constant.
+    Constraints are returned in discovery order, which is deterministic
+    (only insertion-ordered containers are iterated) and hands the
+    solver each constraint soon after the ones it depends on; nothing
+    is rendered here, and ``render_constraints`` sorts for output.
     """
     validate_input_automaton(aut)
     alg = pds.algebra
@@ -191,9 +197,7 @@ def _saturate(pds: PushdownSystem, aut: PAutomaton,
     )
     return SaturationResult(
         automaton=saturated,
-        constraints=tuple(sorted(
-            constraints.values(), key=lambda c: (c.rhs.text(), c.text(alg))
-        )),
+        constraints=tuple(constraints.values()),
         trace=tuple(trace),
         original=aut,
     )

@@ -1,8 +1,10 @@
 """Weight domain laws, instances, and the dynamic law checker."""
 
 import itertools
+import pickle
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pdsflow import (
     FiniteLattice,
@@ -108,9 +110,71 @@ class TestKillGen:
         assert len(killgen_algebra({"a", "b"}).elements) == 16
         assert len(killgen_algebra({"a", "b", "c"}).elements) == 64
 
+    def test_carrier_order(self):
+        """Kill-major, each side over subsets by size, then name order."""
+        subsets = [frozenset(c) for r in range(4)
+                   for c in itertools.combinations("abc", r)]
+        assert list(killgen_algebra(["c", "a", "b"]).elements) == [
+            kg(k, g) for k in subsets for g in subsets]
+
     def test_large_domain_is_abstract(self):
         alg = killgen_algebra([f"f{i}" for i in range(9)])
         assert alg.elements is None
+
+
+@st.composite
+def two_domains(draw):
+    """Two fact domains of 1 to 70 facts; the ``s`` facts are shared."""
+    sizes = st.integers(1, 70)
+    n, m = draw(sizes), draw(sizes)
+    shared = [f"s{i}" for i in range(draw(st.integers(0, min(n, m))))]
+    return (shared + [f"a{i}" for i in range(n - len(shared))],
+            shared + [f"b{i}" for i in range(m - len(shared))])
+
+
+def _pair_text(kill, gen):
+    return f"kill={{{','.join(sorted(kill))}}} gen={{{','.join(sorted(gen))}}}"
+
+
+class TestKillGenBitmasks:
+    """The bitmask elements against kill/gen pairs of fact sets."""
+
+    @given(st.data())
+    def test_agrees_with_fact_set_pairs(self, data):
+        domains = data.draw(two_domains())
+        for domain in domains:
+            alg = killgen_algebra(domain)
+            subsets = st.frozensets(st.sampled_from(domain))
+            (k1, g1), (k2, g2) = (data.draw(st.tuples(subsets, subsets))
+                                  for _ in range(2))
+            x, y = kg(k1, g1), kg(k2, g2)
+            assert alg.zero == kg(domain, []) and alg.one == kg([], [])
+            assert (x.kill, x.gen) == (k1, g1)
+            assert (x == y) == ((k1, g1) == (k2, g2))
+            assert pickle.loads(pickle.dumps(x)) == x
+            expected = [
+                (alg.combine(x, y), k1 & k2, g1 | g2),
+                (alg.extend(x, y), k1 | k2, (g1 - k2) | g2),
+                (alg.combine(x, x), k1, g1),
+                (x, k1, g1),
+            ]
+            for value, kill, gen in expected:
+                assert (value.kill, value.gen) == (kill, gen)
+                assert value == kg(sorted(kill, reverse=True), gen)
+                assert hash(value) == hash(kg(kill, gen))
+                assert alg.render(value) == _pair_text(kill, gen)
+                assert alg.parse(alg.render(value)) == value
+            facts = data.draw(subsets)
+            assert x.apply(facts) == (facts - k1) | g1
+            assert alg.extend(x, y).apply(facts) == y.apply(x.apply(facts))
+        shared = sorted(set(domains[0]) & set(domains[1]))
+        if shared:
+            subsets = st.frozensets(st.sampled_from(shared))
+            text = _pair_text(data.draw(subsets), data.draw(subsets))
+            a, b = (killgen_algebra(d) for d in domains)
+            assert a.parse(text) == b.parse(text)
+            assert hash(a.parse(text)) == hash(b.parse(text))
+            assert a.render(b.parse(text)) == text == b.render(a.parse(text))
 
 
 class TestMinPlus:

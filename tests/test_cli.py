@@ -1,10 +1,17 @@
 """Command line behavior: output formats and exit codes."""
 
+import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pdsflow
 from pdsflow.cli import main
+from pdsflow.encode import encode_icfg, load_icfg
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -269,3 +276,57 @@ class TestAnalyze:
             "--init-config", "<p: nope>",
         )
         assert code == 2
+
+
+def _wide_icfg() -> str:
+    """A recursive graph over 64 facts: each of 12 six-node procedures
+    calls the next at its second node and every third calls P0 at its
+    fourth; the other steps kill and gen random facts."""
+    rng = random.Random(0)
+    names = [f"f{i:02d}" for i in range(64)]
+    lines = ["domain {" + ",".join(names) + "}"]
+    for i in range(12):
+        lines.append(f"proc P{i} entry P{i}_0 exit P{i}_5")
+        calls = {1: i + 1} if i < 11 else {}
+        if i % 3 == 2:
+            calls[3] = 0
+        for k in range(5):
+            if k in calls:
+                lines.append(f"call P{i}_{k} -> P{calls[k]} return P{i}_{k + 1}")
+            else:
+                kill, gen = ([f for f in names if rng.random() < 0.3]
+                             for _ in range(2))
+                lines.append(f"edge P{i}_{k} -> P{i}_{k + 1} "
+                             f"kill={{{','.join(kill)}}} gen={{{','.join(gen)}}}")
+    return "\n".join(lines + ["main P0"]) + "\n"
+
+
+def test_output_does_not_depend_on_hash_seed(tmp_path):
+    """Fact bits follow first-seen order and graph domains are sets, so
+    the output must not follow the string hash: analyze both ways on the
+    demo and a 64-fact graph, and prestar with its constraints."""
+    wide = tmp_path / "wide.icfg"
+    wide.write_text(_wide_icfg())
+    pds = tmp_path / "wide.pds"
+    pds.write_text(encode_icfg(load_icfg(wide.read_text())).text())
+    aut = tmp_path / "wide.aut"
+    aut.write_text("final f\ntrans p P0_5 f\n")
+    argvs = [["analyze", "--icfg", str(icfg), "--direction", d,
+              "--init-config", f"<p: {node}>"]
+             for icfg, nodes in ((ICFG, ("m0", "m5")), (wide, ("P0_0", "P0_5")))
+             for d, node in zip(("post", "pre"), nodes)]
+    outputs = []
+    for seed in ("0", "1"):
+        constraints = tmp_path / f"constraints-{seed}.txt"
+        script = ("import json, sys\nfrom pdsflow.cli import main\n"
+                  "for argv in json.loads(sys.argv[1]):\n    main(argv)\n")
+        runs = argvs + [["prestar", "--pds", str(pds), "--automaton", str(aut),
+                         "--constraints", str(constraints)]]
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(Path(pdsflow.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        outputs.append((done.stdout, constraints.read_text()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count("kill=") > 50

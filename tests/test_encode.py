@@ -9,6 +9,7 @@ with that node on top, then joins the contexts.  For example h1 joins
 to kill={y} gen={x,z}.
 """
 
+import itertools
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,28 @@ class TestEncoding:
         pds = encode_icfg(demo())
         assert all(len(r.to_word) <= 2 for r in pds.rules)
         assert all(r.from_sym is not None for r in pds.rules)
+
+    def test_carrier_is_built_only_when_read(self, monkeypatch):
+        """The 4^8-element kill/gen carrier of an 8-fact graph is left
+        unbuilt by the encoding and enumerated once when first read."""
+        calls = []
+        combinations = itertools.combinations
+        monkeypatch.setattr(itertools, "combinations",
+                            lambda *a: calls.append(a) or combinations(*a))
+        pds = encode_icfg(load_icfg("""
+        domain {f0,f1,f2,f3,f4,f5,f6,f7}
+        proc main entry n0 exit n1
+        edge n0 -> n1 kill={f0} gen={f7}
+        main main
+        """))
+        assert calls == []
+        assert len(pds.algebra.elements) == 4 ** 8
+        assert calls == []
+        assert len(set(pds.algebra.elements)) == 4 ** 8
+        built = len(calls)
+        assert built > 0
+        assert pds.algebra.elements[0] == pds.algebra.one
+        assert len(calls) == built
 
     def test_validation_collects_all_problems(self):
         bad = """

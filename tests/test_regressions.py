@@ -53,3 +53,20 @@ def test_witness_of_a_long_swap_chain():
     assert [r.from_sym for r in witness] == [f"a{i}" for i in range(n + 1)]
     assert list(witness[:n]) == sorted(pds.rules, key=lambda r: int(r.from_sym[1:]))
     assert (witness[n].to_loc, witness[n].to_word) == ("f", ())
+
+
+def test_non_monotone_tabulated_weight_names_its_line(capsys, tmp_path):
+    pds = tmp_path / "nonmono.pds"
+    pds.write_text(
+        "algebra tabulated domain={a,b}\n"
+        "rule <p, a> -> <p, eps> weight [{}->{a},{a}->{},{b}->{b},{a,b}->{a,b}]\n"
+    )
+    aut = tmp_path / "nonmono.aut"
+    aut.write_text("final f\ntrans p z f\n")
+    code, out, err = run(
+        capsys, "query", "--pds", str(pds), "--automaton", str(aut),
+        "--direction", "pre", "--config", "<p: a z>",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {pds}:2: function [")
+    assert "is not monotone: {} <= {a}" in err
