@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import re
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import KillGenElement, killgen_algebra
+from .algebra import KillGenElement, _fact_set, _mask, _pair, killgen_algebra
 from .automaton import PAutomaton, readout_start, then, transition_key
 from .errors import ParseError, ValidationError
-from .pds import IDENTIFIER_RE, PushdownSystem, Rule
+from .pds import PushdownSystem, Rule, _check_identifier
 
 CONTROL_LOCATION = "p"
 
@@ -27,8 +27,7 @@ CONTROL_LOCATION = "p"
 class IntraEdge:
     src: str
     dst: str
-    kill: frozenset
-    gen: frozenset
+    weight: KillGenElement  # .kill and .gen are its fact sets
 
 
 @dataclass(frozen=True)
@@ -43,20 +42,30 @@ class Procedure:
     name: str
     entry: str
     exit: str
-    nodes: frozenset
+    nodes: tuple  # each node once, in order of first mention
 
 
 @dataclass(frozen=True)
 class ICFG:
+    """A graph, validated when built; ``nodes`` lists every node, sorted."""
+
     domain: frozenset
     procedures: tuple
     intra_edges: tuple
     call_edges: tuple
     main: str
+    nodes: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        validate_icfg(self)
+        object.__setattr__(self, "nodes", tuple(sorted(
+            {n for p in self.procedures for n in p.nodes})))
 
 
 def validate_icfg(g: ICFG) -> None:
-    """Collect every invariant violation and raise them together."""
+    """Collect every invariant violation and raise them together, in a
+    fixed order: duplicate names, node conflicts (in file order), each
+    edge's endpoints, crossing and unknown facts (by name), calls, main."""
     problems = []
     proc_names = [p.name for p in g.procedures]
     if len(set(proc_names)) != len(proc_names):
@@ -70,6 +79,7 @@ def validate_icfg(g: ICFG) -> None:
                     f"{owner[node]} and {proc.name}"
                 )
             owner[node] = proc.name
+    outside = ~_mask(g.domain)
     for e in g.intra_edges:
         for node in (e.src, e.dst):
             if node not in owner:
@@ -78,11 +88,8 @@ def validate_icfg(g: ICFG) -> None:
             problems.append(
                 f"edge {e.src} -> {e.dst} crosses procedures"
             )
-        for fact in e.kill | e.gen:
-            if fact not in g.domain:
-                problems.append(
-                    f"edge {e.src} -> {e.dst} mentions unknown fact {fact}"
-                )
+        for fact in sorted(_fact_set((e.weight[0] | e.weight[1]) & outside)):
+            problems.append(f"edge {e.src} -> {e.dst} mentions unknown fact {fact}")
     known = set(proc_names)
     for c in g.call_edges:
         if c.callee not in known:
@@ -100,15 +107,12 @@ def validate_icfg(g: ICFG) -> None:
 
 
 def encode_icfg(g: ICFG) -> PushdownSystem:
-    """Translate a validated graph into a weighted pushdown system."""
-    validate_icfg(g)
+    """Translate a graph, validated when it was built, into a weighted
+    pushdown system."""
     alg = killgen_algebra(g.domain)
     one = alg.one
-    rules = []
-    for e in g.intra_edges:
-        weight = KillGenElement(e.kill, e.gen)
-        rules.append(Rule(CONTROL_LOCATION, e.src, CONTROL_LOCATION,
-                          (e.dst,), weight))
+    rules = [Rule(CONTROL_LOCATION, e.src, CONTROL_LOCATION, (e.dst,), e.weight)
+             for e in g.intra_edges]
     entries = {p.name: p.entry for p in g.procedures}
     for c in g.call_edges:
         rules.append(Rule(CONTROL_LOCATION, c.src, CONTROL_LOCATION,
@@ -117,10 +121,6 @@ def encode_icfg(g: ICFG) -> PushdownSystem:
         rules.append(Rule(CONTROL_LOCATION, proc.exit, CONTROL_LOCATION,
                           (), one))
     return PushdownSystem.from_rules(rules, alg)
-
-
-def all_nodes(g: ICFG) -> list:
-    return sorted({n for p in g.procedures for n in p.nodes})
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +155,7 @@ def analysis_report(g: ICFG, direction: str, sol, aut: PAutomaton) -> dict:
                 rest[src] = value
                 todo[src] = None
 
-    table: dict = {n: None for n in all_nodes(g)}
+    table: dict = dict.fromkeys(g.nodes)
     for p in sorted(aut.initials):
         for q, start in readout_start(aut, sol, p):
             for t in aut.outgoing(q):
@@ -171,7 +171,7 @@ def analysis_report(g: ICFG, direction: str, sol, aut: PAutomaton) -> dict:
 
 def render_report(g: ICFG, table: dict, alg) -> str:
     lines = []
-    for node in all_nodes(g):
+    for node in g.nodes:
         value = table.get(node)
         if value is None:
             lines.append(f"{node}: unreachable")
@@ -197,54 +197,66 @@ _PROC_RE = re.compile(
 )
 
 
-def _facts(text: str) -> frozenset:
-    text = text.strip()
-    if not text:
-        return frozenset()
-    return frozenset(f.strip() for f in text.split(","))
-
-
 def load_icfg(text: str, source: str = "<icfg>") -> ICFG:
     """Parse the graph format; edge and call lines attach to the most
-    recently declared procedure."""
-    domain: Optional[frozenset] = None
+    recently declared procedure, and each edge's fact lists become its
+    kill/gen weight as the line is read."""
+    domain: Optional[tuple] = None  # (fact names, line number)
     main: Optional[str] = None
-    procs: list = []  # (name, entry, exit, intra edge list, call edge list)
+    procs: list = []  # (name, entry, exit, nodes, intra edges, call edges)
+    nodes = edges = calls = None  # those of the most recent procedure
+    bits: dict = {}  # fact list item -> the bit of its stripped name
+
+    def fact_mask(text: str) -> int:
+        mask = 0
+        for item in text.split(",") if text.strip() else ():
+            bit = bits.get(item)
+            if bit is None:
+                bit = bits[item] = _mask((item.strip(),))
+            mask |= bit
+        return mask
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
-            continue
-        if line.startswith("domain"):
-            m = re.match(r"domain\s+\{([^}]*)\}\Z", line)
-            if not m:
-                raise ParseError("bad domain line", source, lineno)
-            domain = _facts(m.group(1))
-            if not domain:
-                raise ParseError("domain must be nonempty", source, lineno)
-            continue
-        if line.startswith("proc"):
-            m = _PROC_RE.match(line)
-            if not m:
-                raise ParseError("bad proc line", source, lineno)
-            procs.append((m.group(1), m.group(2), m.group(3), [], []))
             continue
         if line.startswith("edge"):
             m = _EDGE_RE.match(line)
             if not m:
                 raise ParseError("bad edge line", source, lineno)
-            if not procs:
+            if edges is None:
                 raise ParseError("edge appears before any proc", source, lineno)
-            procs[-1][3].append(IntraEdge(
-                m.group(1), m.group(2), _facts(m.group(3)), _facts(m.group(4)),
-            ))
+            src, dst, kill, gen = m.groups()
+            nodes[src] = nodes[dst] = None
+            edges.append(IntraEdge(src, dst, _pair(
+                KillGenElement, (fact_mask(kill), fact_mask(gen)))))
             continue
         if line.startswith("call"):
             m = _CALL_RE.match(line)
             if not m:
                 raise ParseError("bad call line", source, lineno)
-            if not procs:
+            if calls is None:
                 raise ParseError("call appears before any proc", source, lineno)
-            procs[-1][4].append(CallEdge(m.group(1), m.group(2), m.group(3)))
+            src, callee, ret = m.groups()
+            nodes[src] = nodes[ret] = None
+            calls.append(CallEdge(src, callee, ret))
+            continue
+        if line.startswith("proc"):
+            m = _PROC_RE.match(line)
+            if not m:
+                raise ParseError("bad proc line", source, lineno)
+            name, entry, exit_ = m.groups()
+            nodes, edges, calls = dict.fromkeys((entry, exit_)), [], []
+            procs.append((name, entry, exit_, nodes, edges, calls))
+            continue
+        if line.startswith("domain"):
+            m = re.match(r"domain\s+\{([^}]*)\}\Z", line)
+            if not m:
+                raise ParseError("bad domain line", source, lineno)
+            facts = m.group(1).strip()
+            if not facts:
+                raise ParseError("domain must be nonempty", source, lineno)
+            domain = ([f.strip() for f in facts.split(",")], lineno)
             continue
         if line.startswith("main"):
             parts = line.split()
@@ -257,28 +269,14 @@ def load_icfg(text: str, source: str = "<icfg>") -> ICFG:
         raise ParseError("missing domain line", source)
     if main is None:
         raise ParseError("missing main line", source)
-
-    procedures = []
-    intra_edges: list = []
-    call_edges: list = []
-    for name, entry, exit_, edges, calls in procs:
-        nodes = {entry, exit_}
-        for e in edges:
-            nodes.update((e.src, e.dst))
-        for c in calls:
-            nodes.update((c.src, c.return_node))
-        for node in nodes:
-            if not IDENTIFIER_RE.match(node):
-                raise ParseError(f"invalid node name {node!r}", source)
-        procedures.append(Procedure(name, entry, exit_, frozenset(nodes)))
-        intra_edges.extend(edges)
-        call_edges.extend(calls)
-    g = ICFG(
-        domain=domain,
-        procedures=tuple(procedures),
-        intra_edges=tuple(intra_edges),
-        call_edges=tuple(call_edges),
+    facts, lineno = domain  # checked last, so other parse errors come first
+    for fact in facts:
+        _check_identifier(fact, "fact name", source, lineno)
+    return ICFG(
+        domain=frozenset(facts),
+        procedures=tuple(Procedure(name, entry, exit_, tuple(nodes))
+                         for name, entry, exit_, nodes, _, _ in procs),
+        intra_edges=tuple(e for p in procs for e in p[4]),
+        call_edges=tuple(c for p in procs for c in p[5]),
         main=main,
     )
-    validate_icfg(g)
-    return g

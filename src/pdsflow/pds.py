@@ -103,8 +103,9 @@ class PushdownSystem:
         weights are joined.  Right-hand sides longer than two symbols
         are rejected.
         """
-        merged: dict = {}
-        order: list = []
+        merged: dict = {}  # a merged rule keeps its first rule's place
+        locations: set = set()
+        alphabet: set = set()
         for r in rules:
             if len(r.to_word) > 2:
                 raise ParseError(
@@ -118,24 +119,20 @@ class PushdownSystem:
                     f"that is only allowed in derived systems"
                 )
             key = (r.from_loc, r.from_sym, r.to_loc, r.to_word)
-            if key in merged:
-                prev = merged[key]
+            prev = merged.get(key)
+            if prev is None:
+                merged[key] = r
+                locations.update((r.from_loc, r.to_loc))
+                alphabet.update(r.to_word)
+                if r.from_sym:
+                    alphabet.add(r.from_sym)
+            else:
                 merged[key] = Rule(
                     r.from_loc, r.from_sym, r.to_loc, r.to_word,
                     algebra.combine(prev.weight, r.weight),
                 )
-            else:
-                merged[key] = r
-                order.append(key)
-        final = tuple(merged[k] for k in order)
-        locations = frozenset(
-            x for r in final for x in (r.from_loc, r.to_loc)
-        )
-        alphabet = frozenset(
-            s for r in final
-            for s in (r.to_word + ((r.from_sym,) if r.from_sym else ()))
-        )
-        return cls(locations, alphabet, final, algebra)
+        return cls(frozenset(locations), frozenset(alphabet),
+                   tuple(merged.values()), algebra)
 
     def text(self) -> str:
         lines = [algebra_header(self.algebra)]

@@ -137,3 +137,30 @@ def instance(seed: int, algebra_kind: str, loop_free: bool = False):
         automaton_from_skeleton(skel, pds, PRE),
         automaton_from_skeleton(skel, pds, POST),
     )
+
+
+def recursive_icfg_text(rng: random.Random, facts=("a", "b", "c", "d")) -> str:
+    """The recursive ICFG family: procedure Pi is a 9-node chain calling
+    P(i+1) at node 1 and P(i+2) at node 4, some procedures also call an
+    earlier one at node 6, and some chains skip a node."""
+    n = rng.randint(2, 7)
+    lines = [f"domain {{{','.join(facts)}}}"]
+
+    def fs():
+        return ",".join(f for f in facts if rng.random() < 0.3)
+
+    for i in range(n):
+        lines.append(f"proc P{i} entry P{i}_0 exit P{i}_8")
+        calls = {1: i + 1, 4: i + 2}
+        if i and rng.random() < 0.3:
+            calls[6] = rng.randrange(i)
+        for j in range(8):
+            if j in calls and calls[j] < n:
+                lines.append(f"call P{i}_{j} -> P{calls[j]} return P{i}_{j + 1}")
+            else:
+                lines.append(f"edge P{i}_{j} -> P{i}_{j + 1} kill={{{fs()}}} gen={{{fs()}}}")
+        if rng.random() < 0.5:
+            j = rng.choice([0, 2, 5])
+            lines.append(f"edge P{i}_{j} -> P{i}_{j + 2} kill={{{fs()}}} gen={{{fs()}}}")
+    lines.append("main P0")
+    return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from pdsflow.automaton import (
     read_weight_post,
     read_weight_pre,
 )
-from pdsflow.encode import ICFG, all_nodes
+from pdsflow.encode import ICFG
 from pdsflow.errors import IterationLimitExceededError, NotAcceptedError
 
 
@@ -81,7 +81,7 @@ def analysis_report(g: ICFG, direction: str, sol, aut: PAutomaton) -> dict:
     when no accepted configuration has it on top."""
     alg = sol.algebra
     dist = _state_to_final_join(aut, sol)
-    table: dict = {n: None for n in all_nodes(g)}
+    table: dict = {n: None for n in g.nodes}
 
     def add(node, value):
         if node not in table:

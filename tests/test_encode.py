@@ -16,6 +16,7 @@ import pytest
 
 from pdsflow import (
     Configuration,
+    KillGenElement,
     analysis_report,
     encode_icfg,
     load_icfg,
@@ -26,7 +27,7 @@ from pdsflow import (
 )
 from pdsflow.automaton import POST
 from pdsflow.cli import single_config_automaton
-from pdsflow.encode import CONTROL_LOCATION
+from pdsflow.encode import CONTROL_LOCATION, ICFG, IntraEdge, Procedure
 from pdsflow.errors import ValidationError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -130,6 +131,14 @@ class TestEncoding:
         assert "zzz" in text
         assert "ghost" in text
         assert "other" in text
+
+    def test_hand_built_graph_is_validated(self):
+        edge = IntraEdge("n0", "n1", KillGenElement({"zzz"}, ()))
+        with pytest.raises(ValidationError) as err:
+            ICFG(frozenset({"a"}), (Procedure("main", "n0", "n1", ("n0", "n1")),),
+                 (edge,), (), "other")
+        assert err.value.problems == ["edge n0 -> n1 mentions unknown fact zzz",
+                                      "main procedure other is not defined"]
 
     def test_shared_node_name_rejected(self):
         bad = """

@@ -36,7 +36,8 @@ from pdsflow.encode import CONTROL_LOCATION
 from pdsflow.errors import NotAcceptedError
 
 import reference_readout as reference
-from instances import automaton_from_skeleton, instance, random_skeleton
+from instances import (automaton_from_skeleton, instance, random_skeleton,
+                       recursive_icfg_text)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -214,32 +215,8 @@ def test_deep_stack_query():
 
 
 def seeded_icfg(seed):
-    """The recursive family: procedure Pi is a 9-node chain calling
-    P(i+1) at node 1 and P(i+2) at node 4, some procedures also call an
-    earlier one at node 6, and some chains skip a node."""
     rng = random.Random(seed)
-    facts = ["a", "b", "c", "d"]
-    n = rng.randint(2, 7)
-    lines = ["domain {a,b,c,d}"]
-
-    def fs():
-        return ",".join(f for f in facts if rng.random() < 0.3)
-
-    for i in range(n):
-        lines.append(f"proc P{i} entry P{i}_0 exit P{i}_8")
-        calls = {1: i + 1, 4: i + 2}
-        if i and rng.random() < 0.3:
-            calls[6] = rng.randrange(i)
-        for j in range(8):
-            if j in calls and calls[j] < n:
-                lines.append(f"call P{i}_{j} -> P{calls[j]} return P{i}_{j + 1}")
-            else:
-                lines.append(f"edge P{i}_{j} -> P{i}_{j + 1} kill={{{fs()}}} gen={{{fs()}}}")
-        if rng.random() < 0.5:
-            j = rng.choice([0, 2, 5])
-            lines.append(f"edge P{i}_{j} -> P{i}_{j + 2} kill={{{fs()}}} gen={{{fs()}}}")
-    lines.append("main P0")
-    return load_icfg("\n".join(lines) + "\n"), rng
+    return load_icfg(recursive_icfg_text(rng)), rng
 
 
 def assert_report_matches(g, direction, node):

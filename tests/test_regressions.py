@@ -1,7 +1,14 @@
-"""Inputs that once escaped as uncaught Python exceptions."""
+"""Inputs that once escaped as uncaught Python exceptions, or gave
+output that depended on the string hash."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pdsflow
 from pdsflow import (
     Configuration,
     Transition,
@@ -70,3 +77,38 @@ def test_non_monotone_tabulated_weight_names_its_line(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {pds}:2: function [")
     assert "is not monotone: {} <= {a}" in err
+
+
+@pytest.mark.parametrize("domain, fact", [("{a b,c}", "a b"), ("{a,,b}", "")])
+def test_icfg_domain_fact_that_is_not_an_identifier_is_format_error(
+        capsys, tmp_path, domain, fact):
+    icfg = tmp_path / "bad.icfg"
+    icfg.write_text(f"# facts\ndomain {domain}\nproc P entry x exit y\n"
+                    f"edge x -> y kill={{}} gen={{}}\nmain P\n")
+    code, out, err = run(capsys, "analyze", "--icfg", str(icfg),
+                         "--direction", "post", "--init-config", "<p: x>")
+    assert (code, out) == (2, "")
+    assert err == f"error: {icfg}:2: invalid fact name {fact!r}\n"
+
+
+def test_icfg_validation_problems_do_not_depend_on_hash_seed(tmp_path):
+    """Node conflicts come in file order and unknown facts by name."""
+    icfg = tmp_path / "conflict.icfg"
+    icfg.write_text("domain {a,b}\nproc P entry x exit y\n"
+                    "edge x -> y kill={q1,q2,q3} gen={q4}\n"
+                    "proc Q entry x exit y\nmain P\n")
+    argv = ["analyze", "--icfg", str(icfg), "--direction", "post",
+            "--init-config", "<p: x>"]
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(Path(pdsflow.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from pdsflow.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            "error: node x appears in procedures P and Q; "
+            "node y appears in procedures P and Q; "
+            + "; ".join(f"edge x -> y mentions unknown fact q{i}" for i in (1, 2, 3, 4))
+            + "\n")
