@@ -87,9 +87,7 @@ from .saturation import (
 from .solver import (
     Solution,
     SolverConfig,
-    apply_F,
     eval_lhs,
-    iterate_to_fixpoint,
     solve_least,
 )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
     InvalidInputAutomatonError,
@@ -31,8 +31,7 @@ PRE = "pre"
 POST = "post"
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     src: str
     label: Optional[str]  # None is the epsilon label
     dst: str
@@ -269,8 +268,7 @@ def accepted_configs(aut: PAutomaton, max_stack: int) -> list:
                         if t.label is not None:
                             nxt.append((t.dst, spelled + (t.label,)))
             frontier = nxt
-    unique = {(c.loc, c.stack): c for c in out}
-    return [unique[k] for k in sorted(unique)]
+    return sorted(set(out))
 
 
 # ---------------------------------------------------------------------------

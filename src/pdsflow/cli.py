@@ -165,7 +165,7 @@ def _cmd_check_algebra(args) -> int:
 def _cmd_analyze(args) -> int:
     g = load_icfg(_read(args.icfg), source=args.icfg)
     pds = encode_icfg(g)
-    c = _parse_config(args.init_config, pds.locations, pds.alphabet)
+    c = _parse_config(args.init_config, pds.locations, g.nodes)
     if c.loc != CONTROL_LOCATION:
         raise ParseError(
             f"encoded systems use the single control location "

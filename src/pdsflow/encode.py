@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import KillGenElement, _fact_set, _mask, _pair, killgen_algebra
 from .automaton import PAutomaton, readout_start, then, transition_key
@@ -23,15 +23,13 @@ from .pds import PushdownSystem, Rule, _check_identifier
 CONTROL_LOCATION = "p"
 
 
-@dataclass(frozen=True)
-class IntraEdge:
+class IntraEdge(NamedTuple):
     src: str
     dst: str
     weight: KillGenElement  # .kill and .gen are its fact sets
 
 
-@dataclass(frozen=True)
-class CallEdge:
+class CallEdge(NamedTuple):
     src: str
     callee: str
     return_node: str
@@ -88,7 +86,8 @@ def validate_icfg(g: ICFG) -> None:
             problems.append(
                 f"edge {e.src} -> {e.dst} crosses procedures"
             )
-        for fact in sorted(_fact_set((e.weight[0] | e.weight[1]) & outside)):
+        unknown = (e.weight[0] | e.weight[1]) & outside
+        for fact in sorted(_fact_set(unknown)) if unknown else ():
             problems.append(f"edge {e.src} -> {e.dst} mentions unknown fact {fact}")
     known = set(proc_names)
     for c in g.call_edges:

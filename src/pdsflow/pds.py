@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
 from .algebra import (
     FlowAlgebra,
@@ -39,8 +39,7 @@ def mid_location(loc: str, sym: str) -> str:
     return f"mid:{loc}:{sym}"
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """One rewrite rule <from_loc, from_sym> -> <to_loc, to_word>.
 
     from_sym None means the rule fires without consuming a stack symbol
@@ -62,8 +61,7 @@ class Rule:
         )
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """A control location paired with a stack, top of stack first."""
 
     loc: str
@@ -118,7 +116,7 @@ class PushdownSystem:
                     f"rule at {r.from_loc} consumes no stack symbol; "
                     f"that is only allowed in derived systems"
                 )
-            key = (r.from_loc, r.from_sym, r.to_loc, r.to_word)
+            key = r[:4]
             prev = merged.get(key)
             if prev is None:
                 merged[key] = r

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Union
+from typing import Any, NamedTuple, Union
 
 from .algebra import FlowAlgebra
 from .automaton import (
@@ -43,8 +43,7 @@ class Var:
 Factor = Union[Const, Var]
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """An inequation: ordered product of factors below one transition
     variable.  Factor order is semantic; the product does not commute."""
 
@@ -59,8 +58,7 @@ class Constraint:
         return f"{' (x) '.join(parts)} <= {self.rhs.text()}"
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """One saturation step: the transition it added, the rule that fired,
     and the matched automaton transitions in left-hand-side order."""
 

@@ -39,9 +39,10 @@ class Solution(Mapping):
         return len(self.assignment)
 
     def value(self, t: Transition):
-        if t not in self.assignment:
-            raise MissingAssignmentError(f"no value assigned to {t.text()}")
-        return self.assignment[t]
+        try:
+            return self.assignment[t]
+        except KeyError:
+            raise MissingAssignmentError(f"no value assigned to {t.text()}") from None
 
     def render_lines(self) -> list:
         return [
@@ -79,17 +80,6 @@ def constraint_variables(constraints) -> list:
             if isinstance(f, Var):
                 seen.add(f.transition)
     return sorted(seen, key=transition_key)
-
-
-def apply_F(sol: Solution, constraints) -> Solution:
-    """One synchronous step: each variable becomes the join of its
-    constraints' left-hand sides; unconstrained variables drop to zero."""
-    alg = sol.algebra
-    new = {t: alg.zero for t in sol.assignment}
-    for c in constraints:
-        v = eval_lhs(sol, c)
-        new[c.rhs] = alg.combine(new.get(c.rhs, alg.zero), v)
-    return Solution(alg, new)
 
 
 def solve_least(constraints, alg: FlowAlgebra,
@@ -139,19 +129,3 @@ def solve_least(constraints, alg: FlowAlgebra,
                     queued.add(j)
     return Solution(alg, assignment,
                     stats={"applications": applications, "changes": changes})
-
-
-def iterate_to_fixpoint(constraints, alg: FlowAlgebra,
-                        max_rounds: int = 10_000) -> Solution:
-    """Naive synchronous iteration of apply_F from all-zero; the worklist
-    solver must agree with this limit."""
-    variables = constraint_variables(constraints)
-    sol = Solution(alg, {t: alg.zero for t in variables})
-    for _ in range(max_rounds):
-        nxt = apply_F(sol, constraints)
-        if nxt.assignment == sol.assignment:
-            return nxt
-        sol = nxt
-    raise IterationLimitExceededError(
-        f"no fixpoint after {max_rounds} synchronous rounds"
-    )

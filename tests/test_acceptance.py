@@ -46,9 +46,10 @@ from pdsflow.automaton import POST, PRE
 from pdsflow.cli import main as cli_main, single_config_automaton
 from pdsflow.encode import CONTROL_LOCATION
 from pdsflow.oracle import PathQuery
-from pdsflow.solver import apply_F, eval_lhs, iterate_to_fixpoint
+from pdsflow.solver import eval_lhs
 
 from instances import instance
+from reference_solver import apply_F, iterate_to_fixpoint
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -1,5 +1,5 @@
-"""Inputs that once escaped as uncaught Python exceptions, or gave
-output that depended on the string hash."""
+"""Inputs that once escaped as uncaught Python exceptions, gave output
+that depended on the string hash, or were wrongly rejected."""
 
 import os
 import subprocess
@@ -112,3 +112,21 @@ def test_icfg_validation_problems_do_not_depend_on_hash_seed(tmp_path):
             "node y appears in procedures P and Q; "
             + "; ".join(f"edge x -> y mentions unknown fact q{i}" for i in (1, 2, 3, 4))
             + "\n")
+
+
+@pytest.mark.parametrize("direction, report", [
+    ("post", "x: kill={} gen={}\ny: unreachable\nz: unreachable\n"),
+    # the exit's pop rule takes any stack below it, so y and z are reached
+    ("pre", "x: kill={} gen={}\ny: kill={} gen={a}\nz: kill={} gen={a}\n"),
+], ids=["post", "pre"])
+def test_analyze_from_a_node_that_no_rule_mentions(capsys, tmp_path,
+                                                   direction, report):
+    """The initial stack is checked against the graph's nodes, not against
+    the symbols of the encoded rules, which leave out the entry x here."""
+    icfg = tmp_path / "island.icfg"
+    icfg.write_text("domain {a}\nproc P entry x exit y\n"
+                    "edge z -> y kill={} gen={a}\nmain P\n")
+    args = ["analyze", "--icfg", str(icfg), "--direction", direction]
+    assert run(capsys, *args, "--init-config", "<p: x>") == (0, report, "")
+    assert run(capsys, *args, "--init-config", "<p: w>") == (
+        2, "", "error: unknown stack symbol 'w'\n")

@@ -9,9 +9,7 @@ from pdsflow import (
     Solution,
     SolverConfig,
     Transition,
-    apply_F,
     eval_lhs,
-    iterate_to_fixpoint,
     load_pds,
     make_automaton,
     minplus_algebra,
@@ -23,6 +21,8 @@ from pdsflow.algebra import INF
 from pdsflow.automaton import PRE, POST
 from pdsflow.errors import IterationLimitExceededError, MissingAssignmentError
 from pdsflow.saturation import Const, Constraint, Var
+
+from reference_solver import apply_F, iterate_to_fixpoint
 
 MP = minplus_algebra()
 
