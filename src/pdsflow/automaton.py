@@ -275,30 +275,10 @@ def accepted_configs(aut: PAutomaton, max_stack: int) -> list:
 # weighted readout
 
 
-def read_weight_pre(aut: PAutomaton, sol, rho: Run):
-    """Product of the run's transition values, first transition first."""
-    assert aut.direction == PRE
-    alg = sol.algebra
-    acc = alg.one
-    for t in rho.transitions:
-        acc = alg.extend(acc, sol.value(t))
-    return acc
-
-
-def read_weight_post(aut: PAutomaton, sol, rho: Run):
-    """Product in reverse run order: the stack is built from the bottom,
-    so the transition consumed last is multiplied first."""
-    assert aut.direction == POST
-    alg = sol.algebra
-    acc = alg.one
-    for t in reversed(rho.transitions):
-        acc = alg.extend(acc, sol.value(t))
-    return acc
-
-
 def then(aut: PAutomaton, alg):
     """``then(a, b)`` weighs a run piece weighing ``a`` followed by one
-    weighing ``b``, as ``read_weight_pre``/``read_weight_post`` do."""
+    weighing ``b``: backward runs multiply first transition first, and
+    forward runs in reverse, as the stack is built from the bottom."""
     if aut.direction == PRE:
         return alg.extend
     return lambda a, b: alg.extend(b, a)

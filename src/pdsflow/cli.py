@@ -2,7 +2,11 @@
 
 Exit codes are part of the contract: 0 success, 1 query of a
 non-accepted configuration, 2 input or format errors, 3 iteration
-limit exceeded, 4 oracle violations found.
+limit exceeded, 4 oracle violations found, 5 internal error (an
+exception that is not a ``PdsflowError``: a fault in pdsflow).
+
+The oracle and the law checker are imported by the commands that use
+them, so that the other commands never load them.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ import argparse
 import functools
 import sys
 
-from .algebra import check_laws
 from .automaton import (
     POST,
     PRE,
@@ -36,7 +39,6 @@ from .errors import (
     PdsflowError,
     UnknownLocationError,
 )
-from .oracle import check_completeness, check_soundness
 from .pds import Configuration, load_pds, parse_config_text
 from .saturation import post_star, pre_star, render_constraints
 from .solver import SolverConfig, solve_least
@@ -46,6 +48,7 @@ EXIT_UNREACHABLE = 1
 EXIT_FORMAT = 2
 EXIT_ITERATION_LIMIT = 3
 EXIT_VIOLATIONS = 4
+EXIT_INTERNAL = 5
 
 
 def _read(path: str) -> str:
@@ -141,6 +144,8 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import check_completeness, check_soundness
+
     pds, aut = _load_inputs(args, args.direction)
     result = _saturate(pds, aut)
     sol = solve_least(result.constraints, pds.algebra)
@@ -155,6 +160,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check_algebra(args) -> int:
+    from .laws import check_laws
+
     pds = load_pds(_read(args.pds), source=args.pds)
     samples = [r.weight for r in pds.rules]
     report = check_laws(pds.algebra, samples=samples)
@@ -256,6 +263,10 @@ def main(argv=None) -> int:
     except PdsflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .algebra import FlowAlgebra, check_laws
+from .algebra import FlowAlgebra
 from .automaton import PRE, accepted_configs, query
 from .errors import PreconditionNotMetError
+from .laws import check_laws
 from .pds import (
     Configuration,
     PushdownSystem,
@@ -136,25 +137,6 @@ def enumerate_paths(q: PathQuery) -> list:
             found.append(sigma)
 
     _walk_paths(q.rules, q.source, q.depth_bound, q.stack_bound, collect)
-    return found
-
-
-def enumerate_paths_depth_first(q: PathQuery) -> list:
-    """Independent depth-first variant used to cross-check enumeration."""
-    found = []
-
-    def visit(sigma, cfg):
-        if len(sigma) > q.depth_bound:
-            return
-        if q.matches(cfg):
-            found.append(sigma)
-        if len(sigma) == q.depth_bound:
-            return
-        for r, succ in step(q.rules, cfg):
-            if len(succ.stack) <= q.stack_bound:
-                visit(sigma + (r,), succ)
-
-    visit((), q.source)
     return found
 
 

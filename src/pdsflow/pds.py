@@ -16,11 +16,8 @@ from typing import Any, Iterable, NamedTuple, Optional, Sequence
 from .algebra import (
     FlowAlgebra,
     boolean_algebra,
-    check_monotone,
     killgen_algebra,
     minplus_algebra,
-    powerset_lattice,
-    tabulated_framework_algebra,
 )
 from .errors import NonMonotoneFunctionError, ParseError
 
@@ -186,23 +183,6 @@ def build_delta_pre(pds: PushdownSystem, aut) -> list:
     return list(pds.rules) + extra
 
 
-def build_delta_post(pds: PushdownSystem, aut) -> list:
-    """Generator rules plus the untouched user rules.
-
-    The unsplit forward composite: pushes are single steps here, so
-    reachability depth bounds speak about pushdown steps, not about the
-    mid-location encoding of build_delta_post2.
-    """
-    from .automaton import transition_key
-
-    one = pds.algebra.one
-    gens = [
-        Rule(t.dst, None, t.src, (t.label,), one)
-        for t in sorted(aut.transitions, key=transition_key)
-    ]
-    return gens + list(pds.rules)
-
-
 def build_delta_post2(pds: PushdownSystem, aut) -> list:
     """Generator rules, split push rules, and the untouched remainder.
 
@@ -259,6 +239,7 @@ def _make_algebra(name: str, params: str, source, lineno) -> FlowAlgebra:
         facts = _domain_facts(params, source, lineno)
         if name == "killgen":
             return killgen_algebra(facts)
+        from .tabulated import powerset_lattice, tabulated_framework_algebra
         alg = tabulated_framework_algebra(powerset_lattice(facts), [])
         return dataclasses.replace(alg, header_params=params)
     if params:
@@ -301,6 +282,11 @@ def load_pds(text: str, source: str = "<pds>") -> PushdownSystem:
             params = parts[2] if len(parts) > 2 else ""
             algebra = _make_algebra(parts[1], params, source, lineno)
             if parts[1] == "tabulated":
+                from .tabulated import (
+                    check_monotone,
+                    powerset_lattice,
+                    tabulated_framework_algebra,
+                )
                 lattice = powerset_lattice(_domain_facts(params, source, lineno))
             continue
         if line.startswith("rule"):

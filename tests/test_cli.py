@@ -213,15 +213,16 @@ class TestOracle:
 
     def test_violations_exit_four(self, capsys, monkeypatch):
         """A failing report must map to exit code 4; the engine itself
-        never produces one, so substitute a canned failure."""
-        from pdsflow import Configuration, cli
+        never produces one, so substitute a canned failure where the
+        oracle command imports it from."""
+        from pdsflow import Configuration, oracle
         from pdsflow.oracle import OracleReport, OracleViolation
 
         failing = OracleReport(checked=1)
         failing.violations.append(OracleViolation(
             Configuration("p", ("a",)), 1, "1", "0",
         ))
-        monkeypatch.setattr(cli, "check_soundness",
+        monkeypatch.setattr(oracle, "check_soundness",
                             lambda *a, **k: failing)
         code, out, _ = run(
             capsys, "oracle", "--pds", PDS, "--automaton", AUT_PRE,
@@ -276,6 +277,22 @@ class TestAnalyze:
             "--init-config", "<p: nope>",
         )
         assert code == 2
+
+
+def test_internal_error_exit_five(capsys, monkeypatch):
+    """An exception that is not a PdsflowError is a fault in pdsflow, not
+    an input error or an unreachable configuration: one line, exit 5."""
+    from pdsflow import cli
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli, "load_icfg", crash)
+    code, out, err = run(capsys, "analyze", "--icfg", ICFG,
+                         "--init-config", "<p: m0>")
+    assert code == 5
+    assert out == ""
+    assert err == "error: internal error: RuntimeError: injected fault\n"
 
 
 def _wide_icfg() -> str:

@@ -1,0 +1,110 @@
+"""Cold start: a command loads only the modules it runs.
+
+Each check runs in a fresh interpreter and reads ``sys.modules``, not
+the clock.  ``import pdsflow`` loads no submodule; the pipeline
+commands and the library path never load the oracle, the law checker
+or the tabulated algebra; every exported name is the very object its
+submodule defines.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pdsflow
+
+FIXTURES = Path(__file__).parent / "fixtures"
+PDS = str(FIXTURES / "w_pre.pds")
+AUT_PRE = str(FIXTURES / "w_pre.aut")
+AUT_POST = str(FIXTURES / "w_post.aut")
+ICFG = str(FIXTURES / "demo.icfg")
+
+CHECKERS = {"pdsflow.oracle", "pdsflow.laws", "pdsflow.tabulated"}
+
+LOADED = "sorted(m for m in sys.modules if m.partition('.')[0] == 'pdsflow')"
+
+RUN_MAIN = f"""
+import contextlib, io, json, sys
+from pdsflow.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps({{"code": code, "modules": {LOADED}}}))
+"""
+
+
+def fresh(script, *args):
+    """Run ``script`` in a new interpreter and decode the JSON it prints."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pdsflow.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def run_main(argv):
+    return fresh(RUN_MAIN, json.dumps(argv))
+
+
+def test_import_loads_no_submodule():
+    assert fresh(f"import json, sys, pdsflow\nprint(json.dumps({LOADED}))") \
+        == ["pdsflow"]
+
+
+PIPELINE = {
+    "analyze": ["analyze", "--icfg", ICFG, "--init-config", "<p: m0>"],
+    "prestar": ["prestar", "--pds", PDS, "--automaton", AUT_PRE],
+    "poststar": ["poststar", "--pds", PDS, "--automaton", AUT_POST],
+    "solve": ["solve", "--pds", PDS, "--automaton", AUT_PRE,
+              "--direction", "pre"],
+    "query": ["query", "--pds", PDS, "--automaton", AUT_PRE,
+              "--direction", "pre", "--config", "<p: a end>"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(PIPELINE))
+def test_pipeline_commands_load_no_checker(command):
+    out = run_main(PIPELINE[command])
+    assert out["code"] == 0
+    assert CHECKERS.isdisjoint(out["modules"]), out["modules"]
+
+
+def test_library_path_loads_no_checker_cli_or_encode():
+    script = f"""
+import json, sys
+import pdsflow as pf
+pds = pf.load_pds(open(sys.argv[1]).read())
+aut = pf.load_automaton(open(sys.argv[2]).read(), pds, pf.PRE)
+result = pf.pre_star(pds, aut)
+sol = pf.solve_least(result.constraints, pds.algebra)
+value = pf.query(result.automaton, sol, pf.parse_config_text("<p: a end>"))
+print(json.dumps({{"value": pds.algebra.render(value), "modules": {LOADED}}}))
+"""
+    out = fresh(script, PDS, AUT_PRE)
+    assert out["value"] == "2"
+    skipped = CHECKERS | {"pdsflow.cli", "pdsflow.encode"}
+    assert skipped.isdisjoint(out["modules"]), out["modules"]
+
+
+def test_check_algebra_loads_the_law_checker():
+    out = run_main(["check-algebra", "--pds", PDS])
+    assert out["code"] == 0
+    assert "pdsflow.laws" in out["modules"]
+
+
+def test_exports_are_the_objects_their_submodules_define():
+    script = """
+import importlib, json, pdsflow
+listed = set(dir(pdsflow))
+bad = [name for name, module in sorted(pdsflow._EXPORTS.items())
+       if name not in listed
+       or getattr(pdsflow, name)
+       is not getattr(importlib.import_module(f"pdsflow.{module}"), name)]
+print(json.dumps({"all": pdsflow.__all__, "bad": bad}))
+"""
+    out = fresh(script)
+    assert out["all"] == sorted(pdsflow._EXPORTS)
+    assert out["bad"] == []

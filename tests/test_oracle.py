@@ -12,7 +12,6 @@ from pdsflow import (
     check_completeness,
     check_soundness,
     enumerate_paths,
-    enumerate_paths_depth_first,
     join_over_paths,
     load_pds,
     make_automaton,
@@ -28,6 +27,7 @@ from pdsflow.errors import PreconditionNotMetError
 from pdsflow.solver import Solution
 
 from instances import instance
+from reference_oracle import enumerate_paths_depth_first
 
 MP = minplus_algebra()
 

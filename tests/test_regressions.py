@@ -23,6 +23,7 @@ from pdsflow.automaton import PRE
 from pdsflow.cli import main
 
 from test_cli import AUT_PRE, PDS, run
+from test_reference_readout import tabulated_instance
 
 
 def test_bool_weight_other_than_zero_or_one_is_format_error(capsys, tmp_path):
@@ -130,3 +131,25 @@ def test_analyze_from_a_node_that_no_rule_mentions(capsys, tmp_path,
     assert run(capsys, *args, "--init-config", "<p: x>") == (0, report, "")
     assert run(capsys, *args, "--init-config", "<p: w>") == (
         2, "", "error: unknown stack symbol 'w'\n")
+
+
+def test_tabulated_system_text_reads_back(capsys, tmp_path):
+    """A tabulated system built in Python names its domain in the header,
+    so its text loads back to the same rules and the commands accept it."""
+    for seed in range(40):
+        pds, aut_pre, aut_post = tabulated_instance(seed)
+        text = pds.text()
+        assert text.startswith("algebra tabulated domain={")
+        assert load_pds(text).rules == pds.rules
+        files = {}
+        for name, content in (("pds", text), ("pre", aut_pre.text()),
+                              ("post", aut_post.text())):
+            files[name] = tmp_path / f"{seed}.{name}"
+            files[name].write_text(content)
+        code, _, err = run(capsys, "prestar", "--pds", str(files["pds"]),
+                           "--automaton", str(files["pre"]))
+        assert (code, err) == (0, ""), seed
+        code, _, err = run(capsys, "solve", "--pds", str(files["pds"]),
+                           "--automaton", str(files["post"]),
+                           "--direction", "post")
+        assert (code, err) == (0, ""), seed

@@ -6,6 +6,8 @@ import pdsflow
 
 
 def test_all_is_the_imported_names_without_submodules():
+    for name in pdsflow.__all__:  # names load on first use
+        getattr(pdsflow, name)
     public = {name for name, value in vars(pdsflow).items()
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)}
