@@ -15,14 +15,12 @@ import itertools
 import re
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .errors import EmptyDomainError
 
 
-@dataclass(frozen=True)
-class FlowAlgebra:
+class FlowAlgebra(NamedTuple):
     """A weight domain: carrier with combine/extend and their units.
 
     ``combine`` must be an idempotent commutative join with neutral

@@ -9,8 +9,7 @@ for the forward one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
@@ -26,6 +25,7 @@ from .pds import (
     PushdownSystem,
     label_text,
 )
+from .record import Record
 
 PRE = "pre"
 POST = "post"
@@ -44,8 +44,7 @@ def transition_key(t: Transition) -> tuple:
     return (t.src, t.label is not None, t.label or "", t.dst)
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(NamedTuple):
     """A chained transition sequence spelling a stack string."""
 
     transitions: tuple
@@ -54,25 +53,32 @@ class Run:
         return tuple(t.label for t in self.transitions if t.label is not None)
 
 
-@dataclass(frozen=True)
-class PAutomaton:
-    states: frozenset
-    alphabet: frozenset
-    transitions: frozenset
-    initials: frozenset
-    finals: frozenset
-    direction: str  # PRE or POST
-    saturated: bool = False
+class PAutomaton(Record):
+    """An automaton; ``outgoing`` reads an index by source state that is
+    built on first use."""
 
-    @cached_property
-    def _by_src(self) -> dict:
-        index: dict = {}
-        for t in sorted(self.transitions, key=transition_key):
-            index.setdefault(t.src, []).append(t)
-        return index
+    _fields = ("states", "alphabet", "transitions", "initials", "finals",
+               "direction", "saturated")
+    __slots__ = _fields + ("_by_src",)
 
-    def outgoing(self, state: str) -> list:
-        return self._by_src.get(state, [])
+    def __init__(self, states: frozenset, alphabet: frozenset,
+                 transitions: frozenset, initials: frozenset,
+                 finals: frozenset, direction: str,  # PRE or POST
+                 saturated: bool = False):
+        self._assign(states, alphabet, transitions, initials, finals,
+                     direction, saturated)
+        object.__setattr__(self, "_by_src", None)
+
+    def outgoing(self, state: str) -> tuple:
+        """The transitions out of ``state``, in ``transition_key`` order."""
+        index = self._by_src
+        if index is None:
+            lists: dict = {}
+            for t in sorted(self.transitions, key=transition_key):
+                lists.setdefault(t.src, []).append(t)
+            index = {src: tuple(ts) for src, ts in lists.items()}
+            object.__setattr__(self, "_by_src", index)
+        return index.get(state, ())
 
     def text(self) -> str:
         lines = []

@@ -5,8 +5,8 @@ non-accepted configuration, 2 input or format errors, 3 iteration
 limit exceeded, 4 oracle violations found, 5 internal error (an
 exception that is not a ``PdsflowError``: a fault in pdsflow).
 
-The oracle and the law checker are imported by the commands that use
-them, so that the other commands never load them.
+The oracle, the law checker and the graph front end are imported by
+the commands that use them, so that the other commands never load them.
 """
 
 from __future__ import annotations
@@ -24,13 +24,6 @@ from .automaton import (
     make_automaton,
     query,
     validate_input_automaton,
-)
-from .encode import (
-    CONTROL_LOCATION,
-    analysis_report,
-    encode_icfg,
-    load_icfg,
-    render_report,
 )
 from .errors import (
     IterationLimitExceededError,
@@ -170,6 +163,14 @@ def _cmd_check_algebra(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .encode import (
+        CONTROL_LOCATION,
+        analysis_report,
+        encode_icfg,
+        load_icfg,
+        render_report,
+    )
+
     g = load_icfg(_read(args.icfg), source=args.icfg)
     pds = encode_icfg(g)
     c = _parse_config(args.init_config, pds.locations, g.nodes)

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import re
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .algebra import KillGenElement, _fact_set, _mask, _pair, killgen_algebra
 from .automaton import PAutomaton, readout_start, then, transition_key
 from .errors import ParseError, ValidationError
 from .pds import PushdownSystem, Rule, _check_identifier
+from .record import Record
 
 CONTROL_LOCATION = "p"
 
@@ -35,29 +35,26 @@ class CallEdge(NamedTuple):
     return_node: str
 
 
-@dataclass(frozen=True)
-class Procedure:
+class Procedure(NamedTuple):
     name: str
     entry: str
     exit: str
     nodes: tuple  # each node once, in order of first mention
 
 
-@dataclass(frozen=True)
-class ICFG:
-    """A graph, validated when built; ``nodes`` lists every node, sorted."""
+class ICFG(Record):
+    """A graph, validated when built; ``nodes`` lists every node, sorted,
+    and is left out of equality, the hash and the repr."""
 
-    domain: frozenset
-    procedures: tuple
-    intra_edges: tuple
-    call_edges: tuple
-    main: str
-    nodes: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("domain", "procedures", "intra_edges", "call_edges", "main")
+    __slots__ = _fields + ("nodes",)
 
-    def __post_init__(self):
+    def __init__(self, domain: frozenset, procedures: tuple,
+                 intra_edges: tuple, call_edges: tuple, main: str):
+        self._assign(domain, procedures, intra_edges, call_edges, main)
         validate_icfg(self)
         object.__setattr__(self, "nodes", tuple(sorted(
-            {n for p in self.procedures for n in p.nodes})))
+            {n for p in procedures for n in p.nodes})))
 
 
 def validate_icfg(g: ICFG) -> None:

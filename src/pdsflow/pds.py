@@ -8,9 +8,7 @@ transition plus push rules split through fresh mid locations.
 
 from __future__ import annotations
 
-import dataclasses
 import re
-from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
 from .algebra import (
@@ -82,8 +80,7 @@ def parse_config_text(text: str) -> Configuration:
     return Configuration(m.group(1), stack)
 
 
-@dataclass(frozen=True)
-class PushdownSystem:
+class PushdownSystem(NamedTuple):
     locations: frozenset
     alphabet: frozenset
     rules: tuple
@@ -241,7 +238,7 @@ def _make_algebra(name: str, params: str, source, lineno) -> FlowAlgebra:
             return killgen_algebra(facts)
         from .tabulated import powerset_lattice, tabulated_framework_algebra
         alg = tabulated_framework_algebra(powerset_lattice(facts), [])
-        return dataclasses.replace(alg, header_params=params)
+        return alg._replace(header_params=params)
     if params:
         raise ParseError(f"algebra {name} takes no parameters", source, lineno)
     if name == "minplus":
@@ -331,9 +328,7 @@ def load_pds(text: str, source: str = "<pds>") -> PushdownSystem:
         raise ParseError("missing algebra line", source)
     if lattice is not None and rules:
         closed = tabulated_framework_algebra(lattice, [r.weight for r in rules])
-        algebra = dataclasses.replace(
-            closed, header_params=algebra.header_params,
-        )
+        algebra = closed._replace(header_params=algebra.header_params)
     return PushdownSystem.from_rules(rules, algebra)
 
 

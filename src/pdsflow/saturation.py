@@ -14,7 +14,6 @@ existence of the operations themselves.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, NamedTuple, Union
 
 from .algebra import FlowAlgebra
@@ -28,16 +27,31 @@ from .automaton import (
 )
 from .errors import InvalidInputAutomatonError
 from .pds import PushdownSystem, Rule, mid_location
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Const:
-    value: Any
+class Const(Record):
+    """A constant factor; unequal to a ``Var`` and to any tuple."""
+
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Any):
+        _set_value(self, value)
 
 
-@dataclass(frozen=True)
-class Var:
-    transition: Transition
+class Var(Record):
+    """A transition-variable factor."""
+
+    __slots__ = _fields = ("transition",)
+
+    def __init__(self, transition: Transition):
+        _set_transition(self, transition)
+
+
+# Saturation builds factors by the hundred: each sets its one slot through
+# the slot's own setter, the cheapest way past Record.__setattr__.
+_set_value = Const.value.__set__
+_set_transition = Var.transition.__set__
 
 
 Factor = Union[Const, Var]
@@ -67,8 +81,7 @@ class TraceEntry(NamedTuple):
     matched: tuple
 
 
-@dataclass(frozen=True)
-class SaturationResult:
+class SaturationResult(NamedTuple):
     automaton: PAutomaton
     constraints: tuple
     trace: tuple

@@ -10,24 +10,33 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from typing import NamedTuple
+
 from .algebra import FlowAlgebra
 from .automaton import Transition, transition_key
 from .errors import IterationLimitExceededError, MissingAssignmentError
+from .record import Record
 from .saturation import Const, Constraint, Var
 
 
-@dataclass(frozen=True)
-class Solution(Mapping):
+class Solution(Record, Mapping):
     """A total assignment of algebra elements to transition variables.
 
     ``stats`` carries solver counters (applications, changes) when the
     worklist solver produced the solution; it never affects equality.
+    A solution equals only another ``Solution``, never a plain dict, and
+    is unhashable, as its assignment is a dict.
     """
 
-    algebra: FlowAlgebra
-    assignment: dict
-    stats: dict = field(default=None, compare=False)
+    __slots__ = _fields = ("algebra", "assignment", "stats")
+    __hash__ = None
+
+    def __init__(self, algebra: FlowAlgebra, assignment: dict,
+                 stats: dict = None):
+        self._assign(algebra, assignment, stats)
+
+    def _key(self) -> tuple:
+        return self.algebra, self.assignment
 
     def __getitem__(self, t: Transition):
         return self.assignment[t]
@@ -54,8 +63,7 @@ class Solution(Mapping):
         return "\n".join(self.render_lines()) + "\n"
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(NamedTuple):
     max_applications: int = 1_000_000
 
 

@@ -282,12 +282,12 @@ class TestAnalyze:
 def test_internal_error_exit_five(capsys, monkeypatch):
     """An exception that is not a PdsflowError is a fault in pdsflow, not
     an input error or an unreachable configuration: one line, exit 5."""
-    from pdsflow import cli
+    from pdsflow import encode
 
     def crash(*args, **kwargs):
         raise RuntimeError("injected fault")
 
-    monkeypatch.setattr(cli, "load_icfg", crash)
+    monkeypatch.setattr(encode, "load_icfg", crash)
     code, out, err = run(capsys, "analyze", "--icfg", ICFG,
                          "--init-config", "<p: m0>")
     assert code == 5

@@ -3,10 +3,12 @@
 Each check runs in a fresh interpreter and reads ``sys.modules``, not
 the clock.  ``import pdsflow`` loads no submodule; the pipeline
 commands and the library path never load the oracle, the law checker
-or the tabulated algebra; every exported name is the very object its
-submodule defines.
+or the tabulated algebra, nor ``dataclasses`` and the ``inspect``
+module it pulls in; only ``analyze`` loads the graph front end; every
+exported name is the very object its submodule defines.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -24,8 +26,10 @@ AUT_POST = str(FIXTURES / "w_post.aut")
 ICFG = str(FIXTURES / "demo.icfg")
 
 CHECKERS = {"pdsflow.oracle", "pdsflow.laws", "pdsflow.tabulated"}
+CODEGEN = {"dataclasses", "inspect"}  # what dataclass records would load
 
-LOADED = "sorted(m for m in sys.modules if m.partition('.')[0] == 'pdsflow')"
+LOADED = ("sorted(m for m in sys.modules if m.partition('.')[0] == 'pdsflow'"
+          f" or m in {sorted(CODEGEN)})")
 
 RUN_MAIN = f"""
 import contextlib, io, json, sys
@@ -45,7 +49,8 @@ def fresh(script, *args):
     return json.loads(done.stdout)
 
 
-def run_main(argv):
+@functools.cache
+def run_main(argv: tuple):
     return fresh(RUN_MAIN, json.dumps(argv))
 
 
@@ -55,13 +60,13 @@ def test_import_loads_no_submodule():
 
 
 PIPELINE = {
-    "analyze": ["analyze", "--icfg", ICFG, "--init-config", "<p: m0>"],
-    "prestar": ["prestar", "--pds", PDS, "--automaton", AUT_PRE],
-    "poststar": ["poststar", "--pds", PDS, "--automaton", AUT_POST],
-    "solve": ["solve", "--pds", PDS, "--automaton", AUT_PRE,
-              "--direction", "pre"],
-    "query": ["query", "--pds", PDS, "--automaton", AUT_PRE,
-              "--direction", "pre", "--config", "<p: a end>"],
+    "analyze": ("analyze", "--icfg", ICFG, "--init-config", "<p: m0>"),
+    "prestar": ("prestar", "--pds", PDS, "--automaton", AUT_PRE),
+    "poststar": ("poststar", "--pds", PDS, "--automaton", AUT_POST),
+    "solve": ("solve", "--pds", PDS, "--automaton", AUT_PRE,
+              "--direction", "pre"),
+    "query": ("query", "--pds", PDS, "--automaton", AUT_PRE,
+              "--direction", "pre", "--config", "<p: a end>"),
 }
 
 
@@ -70,6 +75,14 @@ def test_pipeline_commands_load_no_checker(command):
     out = run_main(PIPELINE[command])
     assert out["code"] == 0
     assert CHECKERS.isdisjoint(out["modules"]), out["modules"]
+
+
+@pytest.mark.parametrize("command", sorted(PIPELINE))
+def test_pipeline_commands_load_no_code_generation(command):
+    out = run_main(PIPELINE[command])
+    assert out["code"] == 0
+    assert CODEGEN.isdisjoint(out["modules"]), out["modules"]
+    assert ("pdsflow.encode" in out["modules"]) is (command == "analyze")
 
 
 def test_library_path_loads_no_checker_cli_or_encode():
@@ -85,12 +98,12 @@ print(json.dumps({{"value": pds.algebra.render(value), "modules": {LOADED}}}))
 """
     out = fresh(script, PDS, AUT_PRE)
     assert out["value"] == "2"
-    skipped = CHECKERS | {"pdsflow.cli", "pdsflow.encode"}
+    skipped = CHECKERS | CODEGEN | {"pdsflow.cli", "pdsflow.encode"}
     assert skipped.isdisjoint(out["modules"]), out["modules"]
 
 
 def test_check_algebra_loads_the_law_checker():
-    out = run_main(["check-algebra", "--pds", PDS])
+    out = run_main(("check-algebra", "--pds", PDS))
     assert out["code"] == 0
     assert "pdsflow.laws" in out["modules"]
 

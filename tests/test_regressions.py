@@ -153,3 +153,17 @@ def test_tabulated_system_text_reads_back(capsys, tmp_path):
                            "--automaton", str(files["post"]),
                            "--direction", "post")
         assert (code, err) == (0, ""), seed
+
+
+def test_outgoing_cannot_change_the_readout():
+    """``outgoing`` hands out the automaton's own index entries, so they
+    are tuples: a caller cannot clear one and change later queries."""
+    pds = load_pds(Path(PDS).read_text())
+    result = pre_star(pds, load_automaton(Path(AUT_PRE).read_text(), pds, PRE))
+    sol = solve_least(result.constraints, pds.algebra)
+    out = result.automaton.outgoing("p")
+    assert isinstance(out, tuple) and out
+    with pytest.raises(AttributeError):
+        out.clear()
+    assert result.automaton.outgoing("nowhere") == ()
+    assert query(result.automaton, sol, Configuration("p", ("a", "end"))) == 2
