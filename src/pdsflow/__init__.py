@@ -30,8 +30,8 @@ _EXPORTS = {
         ("pds", "Configuration PushdownSystem Rule build_delta_pre "
                 "build_delta_post2 load_pds mid_location parse_config_text "
                 "path_weight step"),
-        ("saturation", "Const Constraint SaturationResult TraceEntry Var post_star "
-                       "pre_star render_constraints transition_witness"),
+        ("saturation", "Constraint SaturationResult TraceEntry post_star pre_star "
+                       "render_constraints transition_witness"),
         ("solver", "Solution SolverConfig eval_lhs solve_least"),
         ("tabulated", "FiniteLattice powerset_lattice tabulated_framework_algebra"),
     )

@@ -1,11 +1,11 @@
 """Immutable records that must not equal tuples.
 
-``Record`` gives ``Const``, ``Var``, ``Solution``, ``PAutomaton`` and
-``ICFG`` what a frozen dataclass would, without generating code: equality
-only within one class, a hash over the compared fields, a
-``Name(field=value)`` repr, ``AttributeError`` on assignment and
-pickling through the constructor.  A subclass names its constructor
-fields in ``_fields``, lists its slots and sets them in ``__init__``.
+``Record`` gives ``Solution``, ``PAutomaton`` and ``ICFG`` what a frozen
+dataclass would, without generating code: equality only within one
+class, a hash over the compared fields, a ``Name(field=value)`` repr,
+``AttributeError`` on assignment and pickling through the constructor.
+A subclass names its constructor fields in ``_fields``, lists its slots
+and sets them in ``__init__``.
 """
 
 class Record:

@@ -1,20 +1,22 @@
 """Saturation procedures that grow an automaton and emit constraints.
 
 Both directions add transitions until a fixpoint and record, for every
-rule match, an ordering constraint over transition variables.  They
-share one worklist loop, after Esparza, Hansel, Rossmanith & Schwoon
-(CAV 2000) and Schwoon (2002, ch. 3): each transition is popped once,
-indexed by (source, label), and matched against the rules it can take
-part in; only the pop/swap/push matching differs by direction.  Solving
-the constraints afterwards yields the weighted readout; keeping the two
-phases apart puts no algebraic requirements on this module beyond the
-existence of the operations themselves.
+rule match, a ``Constraint``: the rule's weight next to the matched
+transition variables, below the added transition's variable.  Backward
+the variables follow the weight, forward they precede it.  The two
+directions share one worklist loop, after Esparza, Hansel, Rossmanith &
+Schwoon (CAV 2000) and Schwoon (2002, ch. 3): each transition is popped
+once, indexed by (source, label), and matched against the rules it can
+take part in; only the pop/swap/push matching differs by direction.
+Solving the constraints afterwards yields the weighted readout; keeping
+the two phases apart puts no algebraic requirements on this module
+beyond the existence of the operations themselves.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, NamedTuple, Union
+from typing import Any, NamedTuple
 
 from .algebra import FlowAlgebra
 from .automaton import (
@@ -27,48 +29,26 @@ from .automaton import (
 )
 from .errors import InvalidInputAutomatonError
 from .pds import PushdownSystem, Rule, mid_location
-from .record import Record
-
-
-class Const(Record):
-    """A constant factor; unequal to a ``Var`` and to any tuple."""
-
-    __slots__ = _fields = ("value",)
-
-    def __init__(self, value: Any):
-        _set_value(self, value)
-
-
-class Var(Record):
-    """A transition-variable factor."""
-
-    __slots__ = _fields = ("transition",)
-
-    def __init__(self, transition: Transition):
-        _set_transition(self, transition)
-
-
-# Saturation builds factors by the hundred: each sets its one slot through
-# the slot's own setter, the cheapest way past Record.__setattr__.
-_set_value = Const.value.__set__
-_set_transition = Var.transition.__set__
-
-
-Factor = Union[Const, Var]
 
 
 class Constraint(NamedTuple):
-    """An inequation: ordered product of factors below one transition
-    variable.  Factor order is semantic; the product does not commute."""
+    """The inequation ``before (x) weight (x) after <= rhs``.
 
-    lhs: tuple
+    ``before`` and ``after`` are tuples of transition variables and
+    ``weight`` is a rule weight or ``one``.  Backward constraints have an
+    empty ``before``, forward ones an empty ``after``, seed constraints
+    both; each side holds at most two variables.  The product is taken
+    left to right and does not commute."""
+
+    before: tuple
+    weight: Any
+    after: tuple
     rhs: Transition
 
     def text(self, alg: FlowAlgebra) -> str:
-        parts = [
-            alg.render(f.value) if isinstance(f, Const) else f.transition.text()
-            for f in self.lhs
-        ]
+        parts = [t.text() for t in self.before]
+        parts.append(alg.render(self.weight))
+        parts += [t.text() for t in self.after]
         return f"{' (x) '.join(parts)} <= {self.rhs.text()}"
 
 
@@ -100,8 +80,7 @@ def _saturate(pds: PushdownSystem, aut: PAutomaton,
 
     Every transition, original or added, is popped once; popping it
     indexes it and fires each rule match that uses it together with
-    transitions popped before.  A constraint is kept once per key made
-    of its right-hand side, its transition factors and its constant.
+    transitions popped before.  Equal constraints are kept once.
     Constraints are returned in discovery order, which is deterministic
     (only insertion-ordered containers are iterated) and hands the
     solver each constraint soon after the ones it depends on; nothing
@@ -110,19 +89,15 @@ def _saturate(pds: PushdownSystem, aut: PAutomaton,
     validate_input_automaton(aut)
     alg = pds.algebra
     transitions: dict = {}  # insertion-ordered set
-    constraints: dict = {}
+    constraints: dict = {}  # insertion-ordered set
     trace: list = []
     worklist: deque = deque()
     out: dict = {}  # src -> label -> popped transitions
     eps_into: dict = {}  # dst -> popped epsilon transitions
 
     def emit(t, before, w, after, rule=None) -> None:
-        """Record before (x) w (x) after <= t for the constant ``w``, and
-        add t if it is new."""
-        key = (t, before, w, after)
-        if key not in constraints:
-            lhs = tuple(map(Var, before)) + (Const(w),) + tuple(map(Var, after))
-            constraints[key] = Constraint(lhs, t)
+        """Record before (x) w (x) after <= t, and add t if it is new."""
+        constraints[Constraint(before, w, after, t)] = None
         if t not in transitions:
             transitions[t] = None
             worklist.append(t)
@@ -208,7 +183,7 @@ def _saturate(pds: PushdownSystem, aut: PAutomaton,
     )
     return SaturationResult(
         automaton=saturated,
-        constraints=tuple(constraints.values()),
+        constraints=tuple(constraints),
         trace=tuple(trace),
         original=aut,
     )

@@ -16,7 +16,7 @@ from .algebra import FlowAlgebra
 from .automaton import Transition, transition_key
 from .errors import IterationLimitExceededError, MissingAssignmentError
 from .record import Record
-from .saturation import Const, Constraint, Var
+from .saturation import Constraint
 
 
 class Solution(Record, Mapping):
@@ -68,14 +68,19 @@ class SolverConfig(NamedTuple):
 
 
 def eval_lhs(sol, c: Constraint):
-    """Left-to-right product of the constraint's factors under ``sol``."""
-    alg = sol.algebra
-    acc = alg.one
-    first = True
-    for f in c.lhs:
-        v = f.value if isinstance(f, Const) else sol.value(f.transition)
-        acc = v if first else alg.extend(acc, v)
-        first = False
+    """``before (x) weight (x) after`` under ``sol``, folded left to
+    right: ``((b1 (x) b2) (x) weight) (x) a1 ...``."""
+    extend, value = sol.algebra.extend, sol.value
+    before = c.before
+    if before:
+        acc = value(before[0])
+        for t in before[1:]:
+            acc = extend(acc, value(t))
+        acc = extend(acc, c.weight)
+    else:
+        acc = c.weight
+    for t in c.after:
+        acc = extend(acc, value(t))
     return acc
 
 
@@ -84,9 +89,7 @@ def constraint_variables(constraints) -> list:
     seen = set()
     for c in constraints:
         seen.add(c.rhs)
-        for f in c.lhs:
-            if isinstance(f, Var):
-                seen.add(f.transition)
+        seen.update(c.before, c.after)
     return sorted(seen, key=transition_key)
 
 
@@ -106,9 +109,8 @@ def solve_least(constraints, alg: FlowAlgebra,
 
     dependents: dict = {}
     for i, c in enumerate(constraints):
-        for f in c.lhs:
-            if isinstance(f, Var):
-                dependents.setdefault(f.transition, []).append(i)
+        for t in c.before + c.after:
+            dependents.setdefault(t, []).append(i)
 
     worklist = deque(range(len(constraints)))
     queued = set(worklist)

@@ -139,11 +139,13 @@ def instance(seed: int, algebra_kind: str, loop_free: bool = False):
     )
 
 
-def recursive_icfg_text(rng: random.Random, facts=("a", "b", "c", "d")) -> str:
+def recursive_icfg_text(rng: random.Random, facts=("a", "b", "c", "d"),
+                        procedures: int = 0) -> str:
     """The recursive ICFG family: procedure Pi is a 9-node chain calling
     P(i+1) at node 1 and P(i+2) at node 4, some procedures also call an
-    earlier one at node 6, and some chains skip a node."""
-    n = rng.randint(2, 7)
+    earlier one at node 6, and some chains skip a node.  There are
+    ``procedures`` procedures, or 2 to 7 drawn from ``rng``."""
+    n = procedures or rng.randint(2, 7)
     lines = [f"domain {{{','.join(facts)}}}"]
 
     def fs():

@@ -4,8 +4,12 @@ worklist engine, kept as a reference.
 Each round re-matches every rule against a snapshot of all transitions
 until neither a transition nor a constraint is added.  The tests
 require the worklist engine to produce exactly the same constraints,
-automaton and trace transitions as this copy.
+automaton and trace transitions as this copy.  The copy keeps the
+constraint records of that time, whose left-hand side is a list of
+``Const`` and ``Var`` factors, and deduplicates constraints by text.
 """
+
+from typing import Any, NamedTuple
 
 from pdsflow.algebra import FlowAlgebra
 from pdsflow.automaton import (
@@ -18,13 +22,47 @@ from pdsflow.automaton import (
 )
 from pdsflow.errors import InvalidInputAutomatonError
 from pdsflow.pds import PushdownSystem, Rule, mid_location
-from pdsflow.saturation import (
-    Const,
-    Constraint,
-    SaturationResult,
-    TraceEntry,
-    Var,
-)
+from pdsflow.record import Record
+from pdsflow.saturation import SaturationResult, TraceEntry
+
+
+class Const(Record):
+    """A constant factor; unequal to a ``Var`` and to any tuple."""
+
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Any):
+        _set_value(self, value)
+
+
+class Var(Record):
+    """A transition-variable factor."""
+
+    __slots__ = _fields = ("transition",)
+
+    def __init__(self, transition: Transition):
+        _set_transition(self, transition)
+
+
+# Saturation builds factors by the hundred: each sets its one slot through
+# the slot's own setter, the cheapest way past Record.__setattr__.
+_set_value = Const.value.__set__
+_set_transition = Var.transition.__set__
+
+
+class Constraint(NamedTuple):
+    """An inequation: ordered product of factors below one transition
+    variable.  Factor order is semantic; the product does not commute."""
+
+    lhs: tuple
+    rhs: Transition
+
+    def text(self, alg: FlowAlgebra) -> str:
+        parts = [
+            alg.render(f.value) if isinstance(f, Const) else f.transition.text()
+            for f in self.lhs
+        ]
+        return f"{' (x) '.join(parts)} <= {self.rhs.text()}"
 
 
 class _Builder:

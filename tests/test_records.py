@@ -3,11 +3,15 @@ replaced.
 
 Most are named tuples: each hashes as the tuple of its fields, which is
 also how the frozen dataclasses hashed, so sets and dicts of records
-iterate in the same order as before and no output changes.  ``Const``,
-``Var``, ``Solution``, ``PAutomaton`` and ``ICFG`` are hand-written
-records that stay unequal to tuples.  The old definitions are kept
-below, verbatim, to compare against; ``PushdownSystem`` and ``Solution``
-keep only the methods the comparisons use.
+iterate in the same order as before and no output changes.
+``Solution``, ``PAutomaton`` and ``ICFG`` are hand-written records that
+stay unequal to tuples.  The old definitions are kept below, verbatim,
+to compare against; ``PushdownSystem`` and ``Solution`` keep only the
+methods the comparisons use.  ``Constraint`` also changed shape, from a
+list of ``Const`` and ``Var`` factors to ``before``, ``weight`` and
+``after``: its record contract is checked against a frozen dataclass of
+the new fields, and its text against the factor-list dataclass, kept as
+``FactorConstraint``.
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Constraint:
+class FactorConstraint:
     """An inequation: ordered product of factors below one transition
     variable.  Factor order is semantic; the product does not commute."""
 
@@ -106,6 +110,14 @@ class Constraint:
             for f in self.lhs
         ]
         return f"{' (x) '.join(parts)} <= {self.rhs.text()}"
+
+
+@dataclass(frozen=True)
+class Constraint:
+    before: tuple
+    weight: Any
+    after: tuple
+    rhs: Transition
 
 
 @dataclass(frozen=True)
@@ -279,7 +291,7 @@ class ICFG:
 TUPLES = ("Transition", "Rule", "Configuration", "Constraint", "TraceEntry",
           "IntraEdge", "CallEdge", "FlowAlgebra", "PushdownSystem", "Run",
           "SaturationResult", "SolverConfig", "Procedure")
-CLASSES = ("Const", "Var", "Solution", "PAutomaton", "ICFG")
+CLASSES = ("Solution", "PAutomaton", "ICFG")
 OLD = SimpleNamespace(**{name: globals()[name] for name in TUPLES + CLASSES})
 MP = pf.minplus_algebra()
 
@@ -310,9 +322,8 @@ EXAMPLES = [
     ("Transition", ("p", "a", "q"), T_REPR),
     ("Rule", ("p", "a", "q", ("b", "c"), 2), R_REPR),
     ("Configuration", ("p", ("a", "b")), "Configuration(loc='p', stack=('a', 'b'))"),
-    ("Constraint", ((pf.Const(1), pf.Var(T)), EPS),
-     f"Constraint(lhs=(Const(value=1), Var(transition={T_REPR})), "
-     f"rhs={EPS_REPR})"),
+    ("Constraint", ((T,), 1, (), EPS),
+     f"Constraint(before=({T_REPR},), weight=1, after=(), rhs={EPS_REPR})"),
     ("TraceEntry", (EPS, R, (T,)),
      f"TraceEntry(transition={EPS_REPR}, rule={R_REPR}, matched=({T_REPR},))"),
     ("IntraEdge", EDGE, EDGE_REPR),
@@ -323,15 +334,13 @@ EXAMPLES = [
      f"rules=({R_REPR},), algebra={ALG_REPR})"),
     ("Run", ((T,),), f"Run(transitions=({T_REPR},))"),
     ("SaturationResult",
-     (AUT, (pf.Constraint((pf.Const(0),), T),), (pf.TraceEntry(T, None, ()),), AUT),
+     (AUT, (pf.Constraint((), 0, (), T),), (pf.TraceEntry(T, None, ()),), AUT),
      f"SaturationResult(automaton={AUT_REPR}, "
-     f"constraints=(Constraint(lhs=(Const(value=0),), rhs={T_REPR}),), "
+     f"constraints=(Constraint(before=(), weight=0, after=(), rhs={T_REPR}),), "
      f"trace=(TraceEntry(transition={T_REPR}, rule=None, matched=()),), "
      f"original={AUT_REPR})"),
     ("SolverConfig", (5,), "SolverConfig(max_applications=5)"),
     ("Procedure", PROC, PROC_REPR),
-    ("Const", (1,), "Const(value=1)"),
-    ("Var", (T,), f"Var(transition={T_REPR})"),
     ("Solution", (ALG, {T: 3}, {"changes": 1}),
      f"Solution(algebra={ALG_REPR}, assignment={{{T_REPR}: 3}}, "
      f"stats={{'changes': 1}})"),
@@ -376,13 +385,6 @@ def test_record_contract(name, values, text):
             setattr(record, name, values[0])
         with pytest.raises(AttributeError):
             delattr(record, name)
-
-
-def test_factors_equal_only_their_own_kind():
-    assert pf.Var(T) == pf.Var(T) and pf.Const(T) == pf.Const(T)
-    assert pf.Var(T) != pf.Const(T) and pf.Const(T) != pf.Var(T)
-    for factor in (pf.Var(T), pf.Const(T)):
-        assert factor != (T,) and (T,) != factor and factor != T
 
 
 def test_solution_equality_is_strict_and_ignores_stats():
@@ -447,35 +449,23 @@ WEIGHTS = st.integers(0, 3)
 TRANSITIONS = st.tuples(NAMES, LABELS, NAMES)
 RULES = st.tuples(NAMES, LABELS, NAMES, st.lists(NAMES, max_size=2).map(tuple),
                   WEIGHTS)
-FACTORS = st.tuples(st.just("var"), TRANSITIONS) | st.tuples(st.just("const"), WEIGHTS)
 FACTS = st.frozensets(st.sampled_from(["u", "v"]))
-KINDS = ("Transition", "Rule", "Configuration", "Constraint", "TraceEntry",
-         "IntraEdge", "CallEdge", "Const", "Var")
+KINDS = ("Transition", "Rule", "Configuration", "TraceEntry", "IntraEdge",
+         "CallEdge")
 RAW = {
     "Transition": TRANSITIONS,
     "Rule": RULES,
     "Configuration": st.tuples(NAMES, st.lists(NAMES, max_size=3).map(tuple)),
-    "Constraint": st.tuples(st.lists(FACTORS, max_size=3).map(tuple), TRANSITIONS),
     "TraceEntry": st.tuples(TRANSITIONS, st.none() | RULES,
                             st.lists(TRANSITIONS, max_size=2).map(tuple)),
     "IntraEdge": st.tuples(NAMES, NAMES, st.builds(KillGenElement, FACTS, FACTS)),
     "CallEdge": st.tuples(NAMES, NAMES, NAMES),
-    "Const": st.tuples(WEIGHTS),
-    "Var": st.tuples(TRANSITIONS),
 }
-TEXT_ARGS = {"Transition": (), "Configuration": (), "Rule": (MP,), "Constraint": (MP,)}
+TEXT_ARGS = {"Transition": (), "Configuration": (), "Rule": (MP,)}
 
 
 def build(defs, kind: str, raw):
     """The record that ``raw`` describes, made of the classes in ``defs``."""
-    if kind == "Constraint":
-        lhs, rhs = raw
-        return defs.Constraint(
-            tuple(defs.Var(defs.Transition(*x)) if f == "var" else defs.Const(x)
-                  for f, x in lhs),
-            defs.Transition(*rhs))
-    if kind == "Var":
-        return defs.Var(defs.Transition(*raw[0]))
     if kind == "TraceEntry":
         t, rule, matched = raw
         return defs.TraceEntry(defs.Transition(*t),
@@ -497,3 +487,20 @@ def test_sets_iterate_as_sets_of_the_frozen_dataclasses(data):
     if kind in TEXT_ARGS:
         args = TEXT_ARGS[kind]
         assert [r.text(*args) for r in new] == [r.text(*args) for r in old]
+
+
+SIDES = st.lists(TRANSITIONS, max_size=2)
+
+
+@given(SIDES, WEIGHTS, SIDES, TRANSITIONS)
+def test_constraint_reads_as_the_factor_list_it_replaced(before, weight, after, rhs):
+    """``before (x) weight (x) after <= rhs`` has the text of the factor
+    list ``Var``s, ``Const``, ``Var``s, and hashes as its field tuple."""
+    new = pf.Constraint(tuple(pf.Transition(*t) for t in before), weight,
+                        tuple(pf.Transition(*t) for t in after), pf.Transition(*rhs))
+    old = FactorConstraint(
+        (*(Var(Transition(*t)) for t in before), Const(weight),
+         *(Var(Transition(*t)) for t in after)),
+        Transition(*rhs))
+    assert new.text(MP) == old.text(MP)
+    assert hash(new) == hash((new.before, weight, new.after, new.rhs))

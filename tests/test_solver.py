@@ -20,7 +20,7 @@ from pdsflow import (
 from pdsflow.algebra import INF
 from pdsflow.automaton import PRE, POST
 from pdsflow.errors import IterationLimitExceededError, MissingAssignmentError
-from pdsflow.saturation import Const, Constraint, Var
+from pdsflow.saturation import Constraint
 
 from reference_solver import apply_F, iterate_to_fixpoint
 
@@ -69,22 +69,22 @@ def maxplus_algebra():
 class TestEvalLhs:
     def test_single_const(self):
         sol = Solution(MP, {})
-        c = Constraint((Const(0),), T_END)
+        c = Constraint((), 0, (), T_END)
         assert eval_lhs(sol, c) == 0
 
     def test_const_then_var(self):
         sol = Solution(MP, {T_B: 7})
-        c = Constraint((Const(3), Var(T_B)), T_A)
+        c = Constraint((), 3, (T_B,), T_A)
         assert eval_lhs(sol, c) == 10
 
     def test_three_factors(self):
         sol = Solution(MP, {T_A: 2, T_B: 3})
-        c = Constraint((Const(1), Var(T_A), Var(T_B)), T_END)
+        c = Constraint((), 1, (T_A, T_B), T_END)
         assert eval_lhs(sol, c) == 6
 
     def test_missing_assignment(self):
         sol = Solution(MP, {})
-        c = Constraint((Const(3), Var(T_B)), T_A)
+        c = Constraint((), 3, (T_B,), T_A)
         with pytest.raises(MissingAssignmentError):
             eval_lhs(sol, c)
 
@@ -138,7 +138,7 @@ class TestSolveLeast:
     def test_divergent_chain_hits_cap(self):
         alg = maxplus_algebra()
         t = Transition("p", "a", "p")
-        growing = Constraint((Const(1), Var(t)), t)
+        growing = Constraint((), 1, (t,), t)
         with pytest.raises(IterationLimitExceededError):
             solve_least([growing], alg, SolverConfig(max_applications=500))
 
