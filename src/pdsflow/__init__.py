@@ -18,20 +18,20 @@ _EXPORTS = {
     for module, names in (
         ("algebra", "FlowAlgebra KillGenElement boolean_algebra killgen_algebra "
                     "minplus_algebra"),
-        ("automaton", "POST PRE PAutomaton Run Transition accepted_configs "
-                      "accepting_runs accepts load_automaton make_automaton query "
-                      "validate_input_automaton"),
+        ("automaton", "POST PRE PAutomaton Transition load_automaton "
+                      "make_automaton query validate_input_automaton"),
         ("encode", "CallEdge ICFG IntraEdge Procedure analysis_report encode_icfg "
                    "load_icfg render_report"),
         ("laws", "LawReport LawVerdict check_laws"),
-        ("oracle", "OracleReport PathQuery PathSetValue check_completeness "
-                   "check_soundness enumerate_paths join_over_paths "
-                   "predecessor_configs reachable_configs"),
-        ("pds", "Configuration PushdownSystem Rule build_delta_pre "
-                "build_delta_post2 load_pds mid_location parse_config_text "
-                "path_weight step"),
+        ("oracle", "OracleReport PathQuery PathSetValue Run accepted_configs "
+                   "accepting_runs accepts build_delta_post2 build_delta_pre "
+                   "check_completeness check_soundness enumerate_paths "
+                   "join_over_paths path_weight predecessor_configs "
+                   "reachable_configs step transition_witness"),
+        ("pds", "Configuration PushdownSystem Rule load_pds mid_location "
+                "parse_config_text"),
         ("saturation", "Constraint SaturationResult TraceEntry post_star pre_star "
-                       "render_constraints transition_witness"),
+                       "render_constraints"),
         ("solver", "Solution SolverConfig eval_lhs solve_least"),
         ("tabulated", "FiniteLattice powerset_lattice tabulated_framework_algebra"),
     )

@@ -153,9 +153,13 @@ _KILLGEN_RE = re.compile(r"kill=(\{[^}]*\})\s+gen=(\{[^}]*\})\Z")
 
 
 class _LazyCarrier(Sequence):
-    """A carrier of known size, enumerated when first read."""
+    """A carrier enumerated when first read.
 
-    def __init__(self, size: int, build: Callable[[], tuple]):
+    ``size`` is its length when that is known without enumerating it;
+    None means only the enumeration tells, so ``len`` enumerates too.
+    """
+
+    def __init__(self, size: Optional[int], build: Callable[[], tuple]):
         self._size = size
         self._build = build
         self._items: Optional[tuple] = None
@@ -163,9 +167,12 @@ class _LazyCarrier(Sequence):
     def _all(self) -> tuple:
         if self._items is None:
             self._items = self._build()
+            self._size = len(self._items)
         return self._items
 
     def __len__(self) -> int:
+        if self._size is None:
+            return len(self._all())
         return self._size
 
     def __getitem__(self, i):

@@ -44,15 +44,6 @@ def transition_key(t: Transition) -> tuple:
     return (t.src, t.label is not None, t.label or "", t.dst)
 
 
-class Run(NamedTuple):
-    """A chained transition sequence spelling a stack string."""
-
-    transitions: tuple
-
-    def spelled(self) -> tuple:
-        return tuple(t.label for t in self.transitions if t.label is not None)
-
-
 class PAutomaton(Record):
     """An automaton; ``outgoing`` reads an index by source state that is
     built on first use."""
@@ -192,7 +183,7 @@ def load_automaton(
 
 
 # ---------------------------------------------------------------------------
-# acceptance and runs
+# weighted readout
 
 
 def _check_initial(aut: PAutomaton, c: Configuration) -> None:
@@ -200,85 +191,6 @@ def _check_initial(aut: PAutomaton, c: Configuration) -> None:
         raise UnknownLocationError(
             f"{c.loc!r} is not an initial state of the automaton"
         )
-
-
-def accepting_runs(aut: PAutomaton, c: Configuration) -> list:
-    """Every accepting run for ``c``, in lexicographic transition order.
-
-    Forward-direction automata may contain epsilon transitions added by
-    saturation; a run may use at most one, and only as its first step
-    out of the initial state.
-    """
-    _check_initial(aut, c)
-    stack = c.stack
-    n = len(stack)
-    finals = aut.finals
-    results: list = []
-    if n == 0 and c.loc in finals:
-        results.append(Run(()))
-    # depth-first over (state, symbols read, run so far); successors are
-    # pushed in reverse so that they are popped in transition order
-    todo = [
-        (t.dst, 0 if t.label is None else 1, (t,))
-        for t in reversed(aut.outgoing(c.loc))
-        if (t.label is None and aut.direction == POST)
-        or (n and t.label == stack[0])
-    ]
-    while todo:
-        state, pos, prefix = todo.pop()
-        if pos == n:
-            if state in finals:
-                results.append(Run(prefix))
-            continue
-        sym = stack[pos]
-        for t in reversed(aut.outgoing(state)):
-            if t.label == sym:
-                todo.append((t.dst, pos + 1, prefix + (t,)))
-    return results
-
-
-def accepts(aut: PAutomaton, c: Configuration) -> bool:
-    """Whether ``c`` has an accepting run.  One walk over the stack keeps
-    the set of states a run can be in, starting from the initial state
-    and, forward, the targets of one leading epsilon step."""
-    _check_initial(aut, c)
-    here = {c.loc}
-    if aut.direction == POST:
-        here |= {t.dst for t in aut.outgoing(c.loc) if t.label is None}
-    for sym in c.stack:
-        here = {t.dst for q in here for t in aut.outgoing(q) if t.label == sym}
-    return not here.isdisjoint(aut.finals)
-
-
-def accepted_configs(aut: PAutomaton, max_stack: int) -> list:
-    """All accepted configurations with stack length up to ``max_stack``."""
-    out = []
-    for p in sorted(aut.initials):
-        starts = [(p, ())]
-        if aut.direction == POST:
-            starts += [
-                (t.dst, ()) for t in aut.outgoing(p) if t.label is None
-            ]
-        seen = set()
-        frontier = starts
-        for _ in range(max_stack + 1):
-            nxt = []
-            for state, spelled in frontier:
-                if (state, spelled) in seen:
-                    continue
-                seen.add((state, spelled))
-                if state in aut.finals:
-                    out.append(Configuration(p, spelled))
-                if len(spelled) < max_stack:
-                    for t in aut.outgoing(state):
-                        if t.label is not None:
-                            nxt.append((t.dst, spelled + (t.label,)))
-            frontier = nxt
-    return sorted(set(out))
-
-
-# ---------------------------------------------------------------------------
-# weighted readout
 
 
 def then(aut: PAutomaton, alg):

@@ -2,29 +2,242 @@
 
 Bounded breadth-first enumeration of rule sequences over a composite
 rule system, the join of their weights, and the executable forms of the
-soundness and completeness statements.  Deliberately shares only the
-step relation and path weights with the engine, never the saturation or
-solving code paths.
+soundness and completeness statements.  Deliberately shares no
+saturation or solving code with the engine.  The run enumeration, the
+step relation, the composite rule systems and the saturation witnesses
+that the checks and the tests rely on live here too, off the command
+path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional, Sequence
 
 from .algebra import FlowAlgebra
-from .automaton import PRE, accepted_configs, query
+from .automaton import (
+    POST,
+    PRE,
+    PAutomaton,
+    Transition,
+    _check_initial,
+    query,
+    transition_key,
+)
 from .errors import PreconditionNotMetError
 from .laws import check_laws
-from .pds import (
-    Configuration,
-    PushdownSystem,
-    build_delta_pre,
-    build_delta_post2,
-    path_weight,
-    step,
-)
+from .pds import Configuration, PushdownSystem, Rule, mid_location
 from .saturation import SaturationResult
+
+
+# ---------------------------------------------------------------------------
+# runs and acceptance
+
+
+class Run(NamedTuple):
+    """A chained transition sequence spelling a stack string."""
+
+    transitions: tuple
+
+    def spelled(self) -> tuple:
+        return tuple(t.label for t in self.transitions if t.label is not None)
+
+
+def accepting_runs(aut: PAutomaton, c: Configuration) -> list:
+    """Every accepting run for ``c``, in lexicographic transition order.
+
+    Forward-direction automata may contain epsilon transitions added by
+    saturation; a run may use at most one, and only as its first step
+    out of the initial state.
+    """
+    _check_initial(aut, c)
+    stack = c.stack
+    n = len(stack)
+    finals = aut.finals
+    results: list = []
+    if n == 0 and c.loc in finals:
+        results.append(Run(()))
+    # depth-first over (state, symbols read, run so far); successors are
+    # pushed in reverse so that they are popped in transition order
+    todo = [
+        (t.dst, 0 if t.label is None else 1, (t,))
+        for t in reversed(aut.outgoing(c.loc))
+        if (t.label is None and aut.direction == POST)
+        or (n and t.label == stack[0])
+    ]
+    while todo:
+        state, pos, prefix = todo.pop()
+        if pos == n:
+            if state in finals:
+                results.append(Run(prefix))
+            continue
+        sym = stack[pos]
+        for t in reversed(aut.outgoing(state)):
+            if t.label == sym:
+                todo.append((t.dst, pos + 1, prefix + (t,)))
+    return results
+
+
+def accepts(aut: PAutomaton, c: Configuration) -> bool:
+    """Whether ``c`` has an accepting run.  One walk over the stack keeps
+    the set of states a run can be in, starting from the initial state
+    and, forward, the targets of one leading epsilon step."""
+    _check_initial(aut, c)
+    here = {c.loc}
+    if aut.direction == POST:
+        here |= {t.dst for t in aut.outgoing(c.loc) if t.label is None}
+    for sym in c.stack:
+        here = {t.dst for q in here for t in aut.outgoing(q) if t.label == sym}
+    return not here.isdisjoint(aut.finals)
+
+
+def accepted_configs(aut: PAutomaton, max_stack: int) -> list:
+    """All accepted configurations with stack length up to ``max_stack``."""
+    out = []
+    for p in sorted(aut.initials):
+        starts = [(p, ())]
+        if aut.direction == POST:
+            starts += [
+                (t.dst, ()) for t in aut.outgoing(p) if t.label is None
+            ]
+        seen = set()
+        frontier = starts
+        for _ in range(max_stack + 1):
+            nxt = []
+            for state, spelled in frontier:
+                if (state, spelled) in seen:
+                    continue
+                seen.add((state, spelled))
+                if state in aut.finals:
+                    out.append(Configuration(p, spelled))
+                if len(spelled) < max_stack:
+                    for t in aut.outgoing(state):
+                        if t.label is not None:
+                            nxt.append((t.dst, spelled + (t.label,)))
+            frontier = nxt
+    return sorted(set(out))
+
+
+# ---------------------------------------------------------------------------
+# transition relation
+
+
+def step(rules: Sequence[Rule], c: Configuration) -> list:
+    """All one-step moves from ``c``: pairs (rule, successor).
+
+    Rules consuming a symbol need it on top of the stack; rules with no
+    left symbol push their word without consuming.
+    """
+    out = []
+    for r in rules:
+        if r.from_loc != c.loc:
+            continue
+        if r.from_sym is None:
+            out.append((r, Configuration(r.to_loc, r.to_word + c.stack)))
+        elif c.stack and c.stack[0] == r.from_sym:
+            out.append((r, Configuration(r.to_loc, r.to_word + c.stack[1:])))
+    return out
+
+
+def path_weight(alg: FlowAlgebra, sigma: Sequence[Rule]):
+    """Product of rule weights left to right; the empty sequence is one."""
+    acc = alg.one
+    for r in sigma:
+        acc = alg.extend(acc, r.weight)
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# composite rule systems
+
+
+def build_delta_pre(pds: PushdownSystem, aut) -> list:
+    """User rules plus one weight-one pop rule per automaton transition.
+
+    The combined system first behaves like the pushdown system, then
+    consumes the remaining stack by simulating the automaton.
+    """
+    extra = [
+        Rule(t.src, t.label, t.dst, (), pds.algebra.one)
+        for t in sorted(aut.transitions, key=transition_key)
+    ]
+    return list(pds.rules) + extra
+
+
+def build_delta_post2(pds: PushdownSystem, aut) -> list:
+    """Generator rules, split push rules, and the untouched remainder.
+
+    Each automaton transition src -label-> dst yields a weight-one
+    generator rule from dst that pushes the label and moves to src, so
+    runs from a final state rebuild accepted configurations.  Each push
+    rule is split in two through its mid location; the pair chains to
+    the original weight because the second half has weight one.
+    """
+    one = pds.algebra.one
+    out = [
+        Rule(t.dst, None, t.src, (t.label,), one)
+        for t in sorted(aut.transitions, key=transition_key)
+    ]
+    for r in pds.rules:
+        if len(r.to_word) == 2:
+            mid = mid_location(r.to_loc, r.to_word[0])
+            out.append(Rule(r.from_loc, r.from_sym, mid, (r.to_word[1],), r.weight))
+            out.append(Rule(mid, None, r.to_loc, (r.to_word[0],), one))
+        else:
+            out.append(r)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# witnesses
+
+
+def transition_witness(result: SaturationResult, pds: PushdownSystem,
+                       t: Transition) -> tuple:
+    """A rule sequence over the composite system justifying ``t``.
+
+    Backward direction: replaying the sequence from <src, label> empties
+    the stack at dst.  Forward direction: replaying from <dst, empty>
+    reaches <src, label>.  Built from the saturation trace; original
+    transitions are justified by their pop or generator rule directly.
+    """
+    alg = pds.algebra
+    direction = result.automaton.direction
+    first_entry: dict = {}
+    for entry in result.trace:
+        first_entry.setdefault(entry.transition, entry)
+    originals = result.original.transitions
+
+    def parts(t: Transition) -> list:
+        """Rules, and matched transitions standing for their witnesses."""
+        if t in originals:
+            if direction == PRE:
+                return [Rule(t.src, t.label, t.dst, (), alg.one)]
+            return [Rule(t.dst, None, t.src, (t.label,), alg.one)]
+        entry = first_entry[t]
+        r = entry.rule
+        if direction == PRE:
+            return [r, *entry.matched]
+        if len(r.to_word) == 2:
+            mid = mid_location(r.to_loc, r.to_word[0])
+            if t.src == r.to_loc and t.dst == mid:
+                return [Rule(mid, None, r.to_loc, (r.to_word[0],), alg.one)]
+            r = Rule(r.from_loc, r.from_sym, mid, (r.to_word[1],), r.weight)
+        return [*entry.matched, r]
+
+    # an explicit stack: derivations may outgrow the recursion limit
+    sequence, todo = [], [t]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Rule):
+            sequence.append(x)
+        else:
+            todo.extend(reversed(parts(x)))
+    return tuple(sequence)
+
+
+# ---------------------------------------------------------------------------
+# bounded path search
 
 
 @dataclass(frozen=True)

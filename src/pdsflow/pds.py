@@ -1,15 +1,14 @@
-"""Pushdown systems: weighted rewrite rules and their transition relation.
+"""Pushdown systems: weighted rewrite rules, configurations and the
+line-based text format.
 
-Also builds the two composite rule systems the reachability oracles run
-over: the backward one extends the user's rules with a pop rule per
-automaton transition, the forward one with a generator rule per
-transition plus push rules split through fresh mid locations.
+The transition relation and the composite rule systems that the
+reachability oracle runs over live in ``oracle``.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Iterable, NamedTuple, Optional
 
 from .algebra import (
     FlowAlgebra,
@@ -133,80 +132,6 @@ class PushdownSystem(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# transition relation
-
-
-def step(rules: Sequence[Rule], c: Configuration) -> list:
-    """All one-step moves from ``c``: pairs (rule, successor).
-
-    Rules consuming a symbol need it on top of the stack; rules with no
-    left symbol push their word without consuming.
-    """
-    out = []
-    for r in rules:
-        if r.from_loc != c.loc:
-            continue
-        if r.from_sym is None:
-            out.append((r, Configuration(r.to_loc, r.to_word + c.stack)))
-        elif c.stack and c.stack[0] == r.from_sym:
-            out.append((r, Configuration(r.to_loc, r.to_word + c.stack[1:])))
-    return out
-
-
-def path_weight(alg: FlowAlgebra, sigma: Sequence[Rule]):
-    """Product of rule weights left to right; the empty sequence is one."""
-    acc = alg.one
-    for r in sigma:
-        acc = alg.extend(acc, r.weight)
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# composite rule systems
-
-
-def build_delta_pre(pds: PushdownSystem, aut) -> list:
-    """User rules plus one weight-one pop rule per automaton transition.
-
-    The combined system first behaves like the pushdown system, then
-    consumes the remaining stack by simulating the automaton.
-    """
-    from .automaton import transition_key  # local import avoids a cycle
-
-    extra = [
-        Rule(t.src, t.label, t.dst, (), pds.algebra.one)
-        for t in sorted(aut.transitions, key=transition_key)
-    ]
-    return list(pds.rules) + extra
-
-
-def build_delta_post2(pds: PushdownSystem, aut) -> list:
-    """Generator rules, split push rules, and the untouched remainder.
-
-    Each automaton transition src -label-> dst yields a weight-one
-    generator rule from dst that pushes the label and moves to src, so
-    runs from a final state rebuild accepted configurations.  Each push
-    rule is split in two through its mid location; the pair chains to
-    the original weight because the second half has weight one.
-    """
-    from .automaton import transition_key
-
-    one = pds.algebra.one
-    out = [
-        Rule(t.dst, None, t.src, (t.label,), one)
-        for t in sorted(aut.transitions, key=transition_key)
-    ]
-    for r in pds.rules:
-        if len(r.to_word) == 2:
-            mid = mid_location(r.to_loc, r.to_word[0])
-            out.append(Rule(r.from_loc, r.from_sym, mid, (r.to_word[1],), r.weight))
-            out.append(Rule(mid, None, r.to_loc, (r.to_word[0],), one))
-        else:
-            out.append(r)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # text format
 
 
@@ -230,21 +155,23 @@ def _domain_facts(params: str, source, lineno) -> list:
     return facts
 
 
-def _make_algebra(name: str, params: str, source, lineno) -> FlowAlgebra:
+def _make_algebra(name: str, params: str, source, lineno):
+    """The algebra a header names, and for a tabulated one its lattice
+    (None for the others); a tabulated algebra has no weights yet."""
     params = params.strip()
-    if name in ("killgen", "tabulated"):
-        facts = _domain_facts(params, source, lineno)
-        if name == "killgen":
-            return killgen_algebra(facts)
+    if name == "killgen":
+        return killgen_algebra(_domain_facts(params, source, lineno)), None
+    if name == "tabulated":
         from .tabulated import powerset_lattice, tabulated_framework_algebra
-        alg = tabulated_framework_algebra(powerset_lattice(facts), [])
-        return alg._replace(header_params=params)
+        lattice = powerset_lattice(_domain_facts(params, source, lineno))
+        alg = tabulated_framework_algebra(lattice, [])
+        return alg._replace(header_params=params), lattice
     if params:
         raise ParseError(f"algebra {name} takes no parameters", source, lineno)
     if name == "minplus":
-        return minplus_algebra()
+        return minplus_algebra(), None
     if name == "bool":
-        return boolean_algebra()
+        return boolean_algebra(), None
     raise ParseError(f"unknown algebra {name!r}", source, lineno)
 
 
@@ -259,9 +186,9 @@ def load_pds(text: str, source: str = "<pds>") -> PushdownSystem:
 
     The first significant line declares the algebra; every other
     significant line is a rule.  Parse errors carry line numbers, and so
-    does a tabulated weight that is not monotone.  For tabulated
-    algebras the carrier is re-closed over the rule weights once they
-    are known.
+    does a tabulated weight that is not monotone.  A tabulated algebra
+    is made again over the rule weights once they are known, and closes
+    its carrier over them when that is read.
     """
     algebra = None
     lattice = None  # the tabulated algebra's lattice
@@ -277,14 +204,9 @@ def load_pds(text: str, source: str = "<pds>") -> PushdownSystem:
             if len(parts) < 2:
                 raise ParseError("algebra line needs a name", source, lineno)
             params = parts[2] if len(parts) > 2 else ""
-            algebra = _make_algebra(parts[1], params, source, lineno)
-            if parts[1] == "tabulated":
-                from .tabulated import (
-                    check_monotone,
-                    powerset_lattice,
-                    tabulated_framework_algebra,
-                )
-                lattice = powerset_lattice(_domain_facts(params, source, lineno))
+            algebra, lattice = _make_algebra(parts[1], params, source, lineno)
+            if lattice is not None:
+                from .tabulated import check_monotone, tabulated_framework_algebra
             continue
         if line.startswith("rule"):
             if algebra is None:

@@ -227,51 +227,3 @@ def post_star(pds: PushdownSystem, aut: PAutomaton) -> SaturationResult:
     mids = {mid_location(r.to_loc, r.to_word[0])
             for r in pds.rules if len(r.to_word) == 2}
     return _saturate(pds, aut, aut.states | mids)
-
-
-# ---------------------------------------------------------------------------
-# witnesses
-
-
-def transition_witness(result: SaturationResult, pds: PushdownSystem,
-                       t: Transition) -> tuple:
-    """A rule sequence over the composite system justifying ``t``.
-
-    Backward direction: replaying the sequence from <src, label> empties
-    the stack at dst.  Forward direction: replaying from <dst, empty>
-    reaches <src, label>.  Built from the saturation trace; original
-    transitions are justified by their pop or generator rule directly.
-    """
-    alg = pds.algebra
-    direction = result.automaton.direction
-    first_entry: dict = {}
-    for entry in result.trace:
-        first_entry.setdefault(entry.transition, entry)
-    originals = result.original.transitions
-
-    def parts(t: Transition) -> list:
-        """Rules, and matched transitions standing for their witnesses."""
-        if t in originals:
-            if direction == PRE:
-                return [Rule(t.src, t.label, t.dst, (), alg.one)]
-            return [Rule(t.dst, None, t.src, (t.label,), alg.one)]
-        entry = first_entry[t]
-        r = entry.rule
-        if direction == PRE:
-            return [r, *entry.matched]
-        if len(r.to_word) == 2:
-            mid = mid_location(r.to_loc, r.to_word[0])
-            if t.src == r.to_loc and t.dst == mid:
-                return [Rule(mid, None, r.to_loc, (r.to_word[0],), alg.one)]
-            r = Rule(r.from_loc, r.from_sym, mid, (r.to_word[1],), r.weight)
-        return [*entry.matched, r]
-
-    # an explicit stack: derivations may outgrow the recursion limit
-    sequence, todo = [], [t]
-    while todo:
-        x = todo.pop()
-        if isinstance(x, Rule):
-            sequence.append(x)
-        else:
-            todo.extend(reversed(parts(x)))
-    return tuple(sequence)

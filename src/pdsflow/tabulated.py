@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
+from operator import getitem
 from typing import Any, Callable, Iterable, Optional
 
-from .algebra import FlowAlgebra, _set_text
+from .algebra import FlowAlgebra, _LazyCarrier, _set_text
 from .errors import ClosureExplosionError, NonMonotoneFunctionError
 
 
@@ -33,8 +34,8 @@ class FiniteLattice:
             raise ValueError("lattice must be nonempty")
         self.join = join
         self._index = {e: i for i, e in enumerate(self.elements)}
-        texts = {render(e) for e in self.elements}
-        if not len(self._index) == len(texts) == len(self.elements):
+        self._by_render = {render(e): e for e in self.elements}  # in element order
+        if not len(self._index) == len(self._by_render) == len(self.elements):
             raise ValueError("lattice elements must be distinct and render distinctly")
         self.bottom = self._find_bottom()
 
@@ -59,7 +60,7 @@ def powerset_lattice(domain: Iterable[str]) -> FiniteLattice:
         for r in range(len(dom) + 1)
         for c in itertools.combinations(dom, r)
     ]
-    return FiniteLattice(subsets, lambda a, b: a | b, _set_text,
+    return FiniteLattice(subsets, frozenset.__or__, _set_text,
                          domain=frozenset(dom))
 
 
@@ -94,6 +95,31 @@ def check_monotone(lattice: FiniteLattice, table: tuple) -> None:
                 )
 
 
+def _compose(f: tuple, g: tuple) -> tuple:
+    """First f, then g, on index tables."""
+    return tuple(map(g.__getitem__, f))
+
+
+def _close(seed: list, compose, join, max_carrier: int) -> list:
+    """The closure of ``seed`` under ``join`` and ``compose`` in both
+    orders, semi-naively and breadth-first: each table, in the order
+    found, meets itself and each table found before it once.  A closure
+    of n tables thus costs 3 * n * (n + 1) / 2 operations."""
+    tables = list(dict.fromkeys(seed))
+    found = set(tables)
+    for i, f in enumerate(tables):  # also reads the tables appended below
+        for g in tables[:i + 1]:
+            for h in (compose(f, g), compose(g, f), join(f, g)):
+                if h not in found:
+                    found.add(h)
+                    tables.append(h)
+                    if len(tables) > max_carrier:
+                        raise ClosureExplosionError(
+                            f"function-space closure exceeded {max_carrier} tables"
+                        )
+    return tables
+
+
 def tabulated_framework_algebra(
     lattice: FiniteLattice,
     functions: Sequence,
@@ -105,16 +131,25 @@ def tabulated_framework_algebra(
     Elements are total function tables; combine is pointwise join,
     extend is composition read left to right (first argument applied
     first), zero is the constant-bottom map and one is the identity.
-    The supplied functions are closed under pointwise join and
-    composition; the closure must stay within ``max_carrier`` tables.
     Over a powerset lattice the header names its domain, as the text
     format expects.
+
+    ``elements`` is the closure of the supplied functions, zero and one
+    under pointwise join and composition, sorted by ``render``; it must
+    stay within ``max_carrier`` tables.  Only the law checker reads it,
+    so it is built when first read.  Where the closure could outgrow
+    the bound, that is where the lattice has more than ``max_carrier``
+    maps to itself, it is built here, so that the bound holds when the
+    algebra is made.
 
     Raises NonMonotoneFunctionError (with a witness pair) if a supplied
     function is not monotone, and ClosureExplosionError if the closure
     grows past the bound.
     """
-    n = len(lattice.elements)
+    elements = lattice.elements
+    n = len(elements)
+    index = lattice._index
+    by_render = lattice._by_render
 
     def table_render(table: tuple) -> str:
         return _table_text(lattice, table)
@@ -139,7 +174,6 @@ def tabulated_framework_algebra(
             cur.append(ch)
         if cur:
             parts.append("".join(cur))
-        by_render = {lattice.render(e): e for e in lattice.elements}
         for part in parts:
             if "->" not in part:
                 raise ValueError(f"bad table cell {part!r}")
@@ -149,49 +183,51 @@ def tabulated_framework_algebra(
             cells[left] = by_render[right]
         if len(cells) != n:
             raise ValueError("function table must cover the whole lattice")
-        return tuple(cells[lattice.render(e)] for e in lattice.elements)
+        return tuple(map(cells.__getitem__, by_render))
 
-    identity = tuple(lattice.elements)
-    const_bottom = tuple(lattice.bottom for _ in range(n))
+    identity = elements
+    const_bottom = (lattice.bottom,) * n
 
-    seed = [identity, const_bottom]
+    tables = [identity, const_bottom]
     for fn in functions:
         table = _as_table(lattice, fn)
         check_monotone(lattice, table)
-        seed.append(table)
+        tables.append(table)
+    # the closure runs over index tables: compose is one map, join a
+    # lookup in a join table
+    seed = [tuple(map(index.__getitem__, table)) for table in tables]
 
-    def compose(f: tuple, g: tuple) -> tuple:
+    join = lattice.join
+
+    def combine(f: tuple, g: tuple) -> tuple:
+        return tuple(map(join, f, g))
+
+    def extend(f: tuple, g: tuple) -> tuple:
         # first f, then g
-        return tuple(g[lattice.index(out)] for out in f)
+        return tuple(map(g.__getitem__, map(index.__getitem__, f)))
 
-    def pointwise_join(f: tuple, g: tuple) -> tuple:
-        return tuple(lattice.join(a, b) for a, b in zip(f, g))
+    def carrier() -> tuple:
+        rows = [tuple(index[join(a, b)] for b in elements) for a in elements]
 
-    carrier = dict.fromkeys(seed)  # insertion-ordered set
-    worklist = list(carrier)
-    while worklist:
-        f = worklist.pop()
-        for g in list(carrier):
-            for h in (compose(f, g), compose(g, f),
-                      pointwise_join(f, g)):
-                if h not in carrier:
-                    carrier[h] = None
-                    worklist.append(h)
-                    if len(carrier) > max_carrier:
-                        raise ClosureExplosionError(
-                            f"function-space closure exceeded {max_carrier} tables"
-                        )
+        def join_ix(f: tuple, g: tuple) -> tuple:
+            return tuple(map(getitem, map(rows.__getitem__, f), g))
 
-    elements = tuple(sorted(carrier, key=table_render))
+        closed = _close(seed, _compose, join_ix, max_carrier)
+        return tuple(sorted((tuple(map(elements.__getitem__, t)) for t in closed),
+                            key=table_render))
+
+    closure = _LazyCarrier(None, carrier)
+    if n > max_carrier or n ** n > max_carrier:  # n ** n maps bound the closure
+        len(closure)  # builds it, raising ClosureExplosionError here
     return FlowAlgebra(
         name="tabulated",
         zero=const_bottom,
         one=identity,
-        combine=pointwise_join,
-        extend=compose,
+        combine=combine,
+        extend=extend,
         render=table_render,
         parse=table_parse,
-        elements=elements,
+        elements=closure,
         header_params=("" if lattice.domain is None
                        else f"domain={_set_text(lattice.domain)}"),
     )

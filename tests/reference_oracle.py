@@ -6,8 +6,8 @@ cross-checks the oracle's breadth-first enumeration.
 """
 
 from pdsflow.automaton import transition_key
-from pdsflow.oracle import PathQuery
-from pdsflow.pds import PushdownSystem, Rule, step
+from pdsflow.oracle import PathQuery, step
+from pdsflow.pds import PushdownSystem, Rule
 
 
 def build_delta_post(pds: PushdownSystem, aut) -> list:

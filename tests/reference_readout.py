@@ -9,15 +9,10 @@ transition until nothing changes.  The tests require ``query`` and
 ``read_weight_pre`` and ``read_weight_post`` weigh one run.
 """
 
-from pdsflow.automaton import (
-    POST,
-    PRE,
-    PAutomaton,
-    Run,
-    accepting_runs,
-)
+from pdsflow.automaton import POST, PRE, PAutomaton
 from pdsflow.encode import ICFG
 from pdsflow.errors import IterationLimitExceededError, NotAcceptedError
+from pdsflow.oracle import Run, accepting_runs
 
 
 def read_weight_pre(aut: PAutomaton, sol, rho: Run):

@@ -1,11 +1,12 @@
 """Hypothesis strategies for small weighted pushdown systems and their
-input automata, in the minplus, bool and killgen algebras.
+input automata, in the minplus, bool, killgen and tabulated algebras.
 
 Systems have two control locations, two stack symbols and two to eight
 rules, recursion included; pop, swap and push rules are equally likely.
 Input automata meet the preconditions of saturation: their transitions
 leave a control location or an extra state and enter an extra state,
-and only extra states are final.
+and only extra states are final.  Tabulated weights are random monotone
+maps on the powerset of two facts, some of which do not preserve joins.
 """
 
 from hypothesis import strategies as st
@@ -19,6 +20,8 @@ from pdsflow import (
     killgen_algebra,
     make_automaton,
     minplus_algebra,
+    powerset_lattice,
+    tabulated_framework_algebra,
 )
 from pdsflow.automaton import POST, PRE
 
@@ -28,10 +31,25 @@ STATES = ("s0", "s1")  # automaton states that are not control locations
 FACTS = ("u", "v")
 
 _FACT_SETS = st.frozensets(st.sampled_from(FACTS))
+_LATTICE = powerset_lattice(FACTS)
+
+
+@st.composite
+def monotone_tables(draw, lattice):
+    """A random monotone map on a powerset lattice, as a table: each
+    subset's image holds its subsets' images plus drawn facts."""
+    facts = st.frozensets(st.sampled_from(sorted(lattice.domain)))
+    out: dict = {}
+    for s in sorted(lattice.elements, key=len):
+        out[s] = frozenset().union(*(out[t] for t in out if t < s)) | draw(facts)
+    return tuple(out[e] for e in lattice.elements)
+
+
 ALGEBRAS = {
     "minplus": (minplus_algebra(), st.integers(0, 5)),
     "bool": (boolean_algebra(), st.booleans()),
     "killgen": (killgen_algebra(FACTS), st.builds(KillGenElement, _FACT_SETS, _FACT_SETS)),
+    "tabulated": (tabulated_framework_algebra(_LATTICE, []), monotone_tables(_LATTICE)),
 }
 
 _SYMBOL = st.sampled_from(SYMBOLS)

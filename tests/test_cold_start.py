@@ -5,7 +5,9 @@ the clock.  ``import pdsflow`` loads no submodule; the pipeline
 commands and the library path never load the oracle, the law checker
 or the tabulated algebra, nor ``dataclasses`` and the ``inspect``
 module it pulls in; only ``analyze`` loads the graph front end; every
-exported name is the very object its submodule defines.
+exported name is the very object its submodule defines.  A tabulated
+system runs through the pipeline without building its carrier, which
+only the law checker reads.
 """
 
 import functools
@@ -18,6 +20,8 @@ from pathlib import Path
 import pytest
 
 import pdsflow
+
+from test_reference_readout import NON_DISTRIBUTIVE
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PDS = str(FIXTURES / "w_pre.pds")
@@ -100,6 +104,48 @@ print(json.dumps({{"value": pds.algebra.render(value), "modules": {LOADED}}}))
     assert out["value"] == "2"
     skipped = CHECKERS | CODEGEN | {"pdsflow.cli", "pdsflow.encode"}
     assert skipped.isdisjoint(out["modules"]), out["modules"]
+
+
+# counts the closures built: each one runs tabulated._close once
+COUNT_CLOSURES = """
+from pdsflow import tabulated
+closures = []
+close = tabulated._close
+tabulated._close = lambda *args: closures.append(1) or close(*args)
+"""
+
+
+def test_tabulated_library_path_leaves_the_carrier_unbuilt():
+    script = COUNT_CLOSURES + """
+import json, sys
+import pdsflow as pf
+pds = pf.load_pds(sys.argv[1])
+aut = pf.load_automaton("final f\\ntrans s z f\\n", pds, pf.PRE)
+result = pf.pre_star(pds, aut)
+sol = pf.solve_least(result.constraints, pds.algebra)
+value = pf.query(result.automaton, sol, pf.parse_config_text("<p: a b c z>"))
+print(json.dumps({"value": pds.algebra.render(value), "closures": len(closures)}))
+"""
+    out = fresh(script, NON_DISTRIBUTIVE)
+    assert out["value"] == "[{x,y}->{x},{x}->{x},{y}->{x},{}->{}]"
+    assert out["closures"] == 0
+
+
+def test_check_algebra_builds_the_tabulated_carrier(tmp_path):
+    path = tmp_path / "nd.pds"
+    path.write_text(NON_DISTRIBUTIVE)
+    script = COUNT_CLOSURES + f"""
+import contextlib, io, json
+from pdsflow.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as table:
+    code = main(["check-algebra", "--pds", {str(path)!r}])
+print(json.dumps({{"code": code, "closures": len(closures),
+                  "table": table.getvalue()}}))
+"""
+    out = fresh(script)
+    assert out["code"] == 0
+    assert out["closures"] == 1
+    assert "distributes-right: FAILS" in out["table"]
 
 
 def test_check_algebra_loads_the_law_checker():

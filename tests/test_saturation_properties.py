@@ -1,7 +1,7 @@
 """Saturation and solving against their references on generated systems.
 
-The strategies in ``strategies`` draw small systems in three algebras,
-recursive ones included; the derandomized profile in ``conftest`` makes
+The strategies in ``strategies`` draw small systems in four algebras,
+recursive ones and non-distributive tabulated ones included; the derandomized profile in ``conftest`` makes
 every run try the same examples.
 """
 
