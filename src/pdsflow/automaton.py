@@ -186,7 +186,9 @@ def load_automaton(
 # weighted readout
 
 
-def _check_initial(aut: PAutomaton, c: Configuration) -> None:
+def check_initial(aut: PAutomaton, c: Configuration) -> None:
+    """Raise ``UnknownLocationError`` unless ``c`` starts in an initial
+    state of ``aut``; the readout and the run enumeration share it."""
     if c.loc not in aut.initials:
         raise UnknownLocationError(
             f"{c.loc!r} is not an initial state of the automaton"
@@ -218,7 +220,7 @@ def query(aut: PAutomaton, sol, c: Configuration):
     once.  Runs that reach a state with one value continue alike and
     combine is idempotent, so this is the join over ``accepting_runs``
     in every flow algebra."""
-    _check_initial(aut, c)
+    check_initial(aut, c)
     alg = sol.algebra
     step = then(aut, alg)
     here: dict = {}  # state -> insertion-ordered set of prefix values

@@ -195,17 +195,22 @@ def _at_least(low: int):
     return integer
 
 
-def _saturate_args(direction: str):
-    def add(p):
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="pdsflow",
+        description="Weighted pushdown reachability with pluggable weight domains.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    for name, direction in (("prestar", PRE), ("poststar", POST)):
+        p = sub.add_parser(name, help=f"saturate in the {direction} direction")
         p.add_argument("--pds", required=True)
         p.add_argument("--automaton", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--constraints", default=None)
         p.set_defaults(func=lambda a, d=direction: _cmd_saturate(a, d))
-    return add
 
-
-def _solve_args(p) -> None:
+    p = sub.add_parser("solve", help="saturate and solve the constraints")
     p.add_argument("--pds", required=True)
     p.add_argument("--automaton", required=True)
     p.add_argument("--direction", choices=(PRE, POST), required=True)
@@ -213,8 +218,7 @@ def _solve_args(p) -> None:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_solve)
 
-
-def _query_args(p) -> None:
+    p = sub.add_parser("query", help="weight of one configuration")
     p.add_argument("--pds", required=True)
     p.add_argument("--automaton", required=True)
     p.add_argument("--direction", choices=(PRE, POST), required=True)
@@ -222,8 +226,7 @@ def _query_args(p) -> None:
     p.add_argument("--max-steps", type=_at_least(1), default=1_000_000)
     p.set_defaults(func=_cmd_query)
 
-
-def _oracle_args(p) -> None:
+    p = sub.add_parser("oracle", help="brute-force check of the results")
     p.add_argument("--pds", required=True)
     p.add_argument("--automaton", required=True)
     p.add_argument("--direction", choices=(PRE, POST), required=True)
@@ -232,62 +235,27 @@ def _oracle_args(p) -> None:
     p.add_argument("--stack", type=_at_least(0), default=4)
     p.set_defaults(func=_cmd_oracle)
 
-
-def _check_algebra_args(p) -> None:
+    p = sub.add_parser("check-algebra", help="law table for the system's algebra")
     p.add_argument("--pds", required=True)
     p.set_defaults(func=_cmd_check_algebra)
 
-
-def _analyze_args(p) -> None:
+    p = sub.add_parser("analyze", help="per-node table for a kill/gen graph")
     p.add_argument("--icfg", required=True)
     p.add_argument("--direction", choices=(PRE, POST), default=POST)
     p.add_argument("--init-config", required=True)
     p.set_defaults(func=_cmd_analyze)
 
-
-# subcommand -> (help, adds its arguments), in usage order
-_COMMANDS = {
-    "prestar": (f"saturate in the {PRE} direction", _saturate_args(PRE)),
-    "poststar": (f"saturate in the {POST} direction", _saturate_args(POST)),
-    "solve": ("saturate and solve the constraints", _solve_args),
-    "query": ("weight of one configuration", _query_args),
-    "oracle": ("brute-force check of the results", _oracle_args),
-    "check-algebra": ("law table for the system's algebra", _check_algebra_args),
-    "analyze": ("per-node table for a kill/gen graph", _analyze_args),
-}
-
-
-def _build_parser(command) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of ``command`` alone."""
-    parser = argparse.ArgumentParser(
-        prog="pdsflow",
-        description="Weighted pushdown reachability with pluggable weight domains.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, add_arguments) in _COMMANDS.items():
-        if command in (None, name):
-            add_arguments(sub.add_parser(name, help=text))
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _build_parser(None)
-
-
 @functools.cache
-def _parser(command) -> argparse.ArgumentParser:
-    """A parser, built once per process; parsing leaves it unchanged."""
-    return _build_parser(command)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # A named subcommand needs only its own parser.  Whatever that leaves
-    # unparsed, the whole parser reports, as its usage names every command.
-    args, rest = _parser(argv[0] if argv and argv[0] in _COMMANDS else None) \
-        .parse_known_args(argv)
-    if rest:
-        _parser(None).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except IterationLimitExceededError as exc:

@@ -20,7 +20,7 @@ from .automaton import (
     PRE,
     PAutomaton,
     Transition,
-    _check_initial,
+    check_initial,
     query,
     transition_key,
 )
@@ -50,7 +50,7 @@ def accepting_runs(aut: PAutomaton, c: Configuration) -> list:
     saturation; a run may use at most one, and only as its first step
     out of the initial state.
     """
-    _check_initial(aut, c)
+    check_initial(aut, c)
     stack = c.stack
     n = len(stack)
     finals = aut.finals
@@ -82,7 +82,7 @@ def accepts(aut: PAutomaton, c: Configuration) -> bool:
     """Whether ``c`` has an accepting run.  One walk over the stack keeps
     the set of states a run can be in, starting from the initial state
     and, forward, the targets of one leading epsilon step."""
-    _check_initial(aut, c)
+    check_initial(aut, c)
     here = {c.loc}
     if aut.direction == POST:
         here |= {t.dst for t in aut.outgoing(c.loc) if t.label is None}

@@ -217,7 +217,7 @@ def tabulated_framework_algebra(
                             key=table_render))
 
     closure = _LazyCarrier(None, carrier)
-    if n > max_carrier or n ** n > max_carrier:  # n ** n maps bound the closure
+    if n ** n > max_carrier:  # n ** n maps bound the closure
         len(closure)  # builds it, raising ClosureExplosionError here
     return FlowAlgebra(
         name="tabulated",

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pdsflow
-from pdsflow.cli import build_parser, main
+from pdsflow.cli import main
 from pdsflow.encode import encode_icfg, load_icfg
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -277,37 +277,6 @@ class TestAnalyze:
             "--init-config", "<p: nope>",
         )
         assert code == 2
-
-
-USAGE_CASES = [[], ["--help"], ["bogus"], ["-h", "analyze"], ["analyz"]] + [
-    argv for command in ("prestar", "poststar", "solve", "query", "oracle",
-                         "check-algebra", "analyze")
-    for argv in ([command], [command, "--help"], [command, "--pds"],
-                 [command, "--bogus"], [command, "extra"])
-] + [["query", "--pds", PDS, "--automaton", AUT_PRE, "--direction", "sideways",
-      "--config", "<p: a>"],
-     ["solve", "--pds", PDS, "--automaton", AUT_PRE, "--direction", "pre",
-      "--max-steps", "0"],
-     ["analyze", "--icfg", ICFG, "--init-config", "<p: m0>", "extra"],
-     ["check-algebra", "--pds", PDS, "--bogus", "1"]]
-
-
-def _usage_id(argv) -> str:
-    return " ".join(Path(a).name if os.sep in a else a for a in argv) or "-"
-
-
-@pytest.mark.parametrize("argv", USAGE_CASES, ids=_usage_id)
-def test_help_and_usage_errors_are_the_whole_parsers(capsys, argv):
-    """``main`` builds only the named subcommand's parser; what it prints
-    for help and usage errors is what the parser of every subcommand
-    prints."""
-    with pytest.raises(SystemExit) as ours:
-        main(argv)
-    printed = capsys.readouterr()
-    with pytest.raises(SystemExit) as whole:
-        build_parser().parse_args(argv)
-    assert ours.value.code == whole.value.code
-    assert printed == capsys.readouterr()
 
 
 def test_internal_error_exit_five(capsys, monkeypatch):

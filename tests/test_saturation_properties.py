@@ -1,8 +1,9 @@
 """Saturation and solving against their references on generated systems.
 
 The strategies in ``strategies`` draw small systems in four algebras,
-recursive ones and non-distributive tabulated ones included; the derandomized profile in ``conftest`` makes
-every run try the same examples.
+recursive ones included; tabulated systems, non-distributive ones among
+them, have a property of their own.  The derandomized profile in
+``conftest`` makes every run try the same examples.
 """
 
 from hypothesis import given
@@ -12,7 +13,7 @@ from pdsflow.automaton import POST, PRE
 
 import reference_saturation as reference
 from reference_solver import iterate_to_fixpoint
-from strategies import instances
+from strategies import TABULATED, instances
 
 ENGINE = {PRE: pre_star, POST: post_star}
 REFERENCE = {PRE: reference.pre_star, POST: reference.post_star}
@@ -36,3 +37,16 @@ def test_solver_matches_synchronous_iteration(instance):
         constraints = ENGINE[aut.direction](pds, aut).constraints
         assert (solve_least(constraints, pds.algebra).text()
                 == iterate_to_fixpoint(constraints, pds.algebra).text())
+
+
+@given(instances(TABULATED))
+def test_tabulated_systems_match_both_references(instance):
+    pds, *automata = instance
+    alg = pds.algebra
+    for aut in automata:
+        new = ENGINE[aut.direction](pds, aut)
+        old = REFERENCE[aut.direction](pds, aut)
+        assert render_constraints(new, alg) == render_constraints(old, alg)
+        assert new.automaton.text() == old.automaton.text()
+        assert (solve_least(new.constraints, alg).text()
+                == iterate_to_fixpoint(new.constraints, alg).text())
