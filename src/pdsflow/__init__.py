@@ -16,8 +16,8 @@ import importlib as _importlib
 _EXPORTS = {
     name: module
     for module, names in (
-        ("algebra", "FlowAlgebra KillGenElement boolean_algebra killgen_algebra "
-                    "minplus_algebra"),
+        ("algebra", "DistributiveFlowAlgebra FlowAlgebra KillGenElement "
+                    "boolean_algebra killgen_algebra minplus_algebra"),
         ("automaton", "POST PRE PAutomaton Transition load_automaton "
                       "make_automaton query validate_input_automaton"),
         ("encode", "CallEdge ICFG IntraEdge Procedure analysis_report encode_icfg "

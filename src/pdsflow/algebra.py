@@ -56,6 +56,20 @@ class FlowAlgebra(NamedTuple):
         return self.combine(a, b) == b
 
 
+class DistributiveFlowAlgebra(FlowAlgebra):
+    """A weight domain whose ``extend`` distributes over ``combine`` on
+    both sides.
+
+    The readout then joins the values that reach an automaton state
+    once, instead of keeping each one apart.  The class adds no field;
+    a custom domain opts in by being built as this class.  Marking a
+    domain that does not distribute makes readouts sound
+    over-approximations, not the exact join over runs.
+    """
+
+    __slots__ = ()
+
+
 # ---------------------------------------------------------------------------
 # kill/gen transfer functions
 
@@ -187,8 +201,9 @@ def killgen_algebra(domain: Iterable[str]) -> FlowAlgebra:
 
     combine intersects kills and unions gens; extend composes the two
     transfer functions left to right.  zero is (D, {}) and one is
-    ({}, {}).  zero annihilates from the right but not from the left,
-    so this is not an idempotent semiring.
+    ({}, {}).  extend distributes over combine, but zero annihilates
+    from the right and not from the left, so this is not an idempotent
+    semiring.
     """
     from .pds import IDENTIFIER_RE  # local import avoids a cycle
 
@@ -237,7 +252,7 @@ def killgen_algebra(domain: Iterable[str]) -> FlowAlgebra:
             _pair(KillGenElement, (k, g)) for k in subsets for g in subsets
         )
 
-    return FlowAlgebra(
+    return DistributiveFlowAlgebra(
         name="killgen",
         zero=_pair(KillGenElement, (_mask(ordered), 0)),
         one=_pair(KillGenElement, (0, 0)),
@@ -271,7 +286,7 @@ def minplus_algebra() -> FlowAlgebra:
             raise ValueError("min-plus weights must be nonnegative")
         return value
 
-    return FlowAlgebra(
+    return DistributiveFlowAlgebra(
         name="minplus",
         zero=INF,
         one=0,
@@ -292,7 +307,7 @@ def boolean_algebra() -> FlowAlgebra:
             raise ValueError(f"bool weights are 0 or 1, got {text!r}")
         return text == "1"
 
-    return FlowAlgebra(
+    return DistributiveFlowAlgebra(
         name="bool",
         zero=False,
         one=True,

@@ -9,9 +9,11 @@ for the forward one.
 
 from __future__ import annotations
 
+import operator
 from functools import reduce
 from typing import Iterable, NamedTuple, Optional
 
+from .algebra import DistributiveFlowAlgebra
 from .errors import (
     InvalidInputAutomatonError,
     NotAcceptedError,
@@ -216,29 +218,41 @@ def readout_start(aut: PAutomaton, sol, p: str) -> list:
 def query(aut: PAutomaton, sol, c: Configuration):
     """Join of the weighted readouts over all accepting runs of ``c``.
 
-    One walk over the stack keeps, per state, each distinct prefix value
-    once.  Runs that reach a state with one value continue alike and
-    combine is idempotent, so this is the join over ``accepting_runs``
-    in every flow algebra."""
+    One walk over the stack keeps one value per automaton state and
+    combines the values that arrive there, the path-sum of weighted
+    pushdown systems.  Where extend distributes over combine (a
+    ``DistributiveFlowAlgebra``) the value is an element, so a query
+    makes at most |stack| x |transitions| calls to ``extend``.  Other
+    algebras walk their powerset lifting: the value is the
+    insertion-ordered set of prefix values, joined by union, and a step
+    extends each member.  Both are the join over ``accepting_runs``."""
     check_initial(aut, c)
     alg = sol.algebra
-    step = then(aut, alg)
-    here: dict = {}  # state -> insertion-ordered set of prefix values
+    along = then(aut, alg)
+    lifted = not isinstance(alg, DistributiveFlowAlgebra)
+    if lifted:
+        def step(values, w):
+            return dict.fromkeys([along(v, w) for v in values])
+
+        join = operator.or_
+    else:
+        step, join = along, alg.combine
+    here: dict = {}  # state -> value of the prefixes that reach it
     for q, v in readout_start(aut, sol, c.loc):
-        here.setdefault(q, {})[v] = None
+        if lifted:
+            v = {v: None}
+        here[q] = join(here[q], v) if q in here else v
     for sym in c.stack:
         nxt: dict = {}
-        for q, values in here.items():
+        for q, v in here.items():
             for t in aut.outgoing(q):
-                if t.label != sym:
-                    continue
-                w = sol.value(t)
-                into = nxt.setdefault(t.dst, {})
-                for v in values:
-                    into[step(v, w)] = None
+                if t.label == sym:
+                    w = step(v, sol.value(t))
+                    nxt[t.dst] = join(nxt[t.dst], w) if t.dst in nxt else w
         here = nxt
-    ends = [v for q, values in here.items() if q in aut.finals
-            for v in values]
+    ends = [v for q, v in here.items() if q in aut.finals]
     if not ends:
         raise NotAcceptedError(f"configuration {c.text()} is not accepted")
+    if lifted:
+        ends = [v for values in ends for v in values]
     return reduce(alg.combine, ends)
