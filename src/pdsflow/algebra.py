@@ -196,7 +196,7 @@ class _LazyCarrier(Sequence):
         return iter(self._all())
 
 
-def killgen_algebra(domain: Iterable[str]) -> FlowAlgebra:
+def killgen_algebra(domain: Iterable[str]) -> DistributiveFlowAlgebra:
     """The kill/gen weight domain over a finite fact set.
 
     combine intersects kills and unions gens; extend composes the two
@@ -271,7 +271,7 @@ def killgen_algebra(domain: Iterable[str]) -> FlowAlgebra:
 INF = float("inf")
 
 
-def minplus_algebra() -> FlowAlgebra:
+def minplus_algebra() -> DistributiveFlowAlgebra:
     """Nonnegative integers plus infinity; combine is min, extend is +."""
 
     def render(a) -> str:
@@ -298,7 +298,7 @@ def minplus_algebra() -> FlowAlgebra:
     )
 
 
-def boolean_algebra() -> FlowAlgebra:
+def boolean_algebra() -> DistributiveFlowAlgebra:
     """Two-point reachability weights: combine is or, extend is and."""
 
     def parse(text: str) -> bool:

@@ -242,13 +242,19 @@ def query(aut: PAutomaton, sol, c: Configuration):
         if lifted:
             v = {v: None}
         here[q] = join(here[q], v) if q in here else v
+    moves: dict = {}  # (state, symbol) -> [(target, transition value)]
     for sym in c.stack:
         nxt: dict = {}
         for q, v in here.items():
-            for t in aut.outgoing(q):
-                if t.label == sym:
-                    w = step(v, sol.value(t))
-                    nxt[t.dst] = join(nxt[t.dst], w) if t.dst in nxt else w
+            out = moves.get((q, sym))
+            if out is None:
+                out = moves[q, sym] = []
+                for t in aut.outgoing(q):
+                    if t.label == sym:
+                        out.append((t.dst, sol.value(t)))
+            for dst, w in out:
+                w = step(v, w)
+                nxt[dst] = join(nxt[dst], w) if dst in nxt else w
         here = nxt
     ends = [v for q, v in here.items() if q in aut.finals]
     if not ends:
