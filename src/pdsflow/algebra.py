@@ -48,9 +48,6 @@ class FlowAlgebra(NamedTuple):
     elements: Optional[Sequence] = None
     header_params: str = ""
 
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def leq(self, a, b) -> bool:
         """Induced partial order: a is below b iff combine(a, b) = b."""
         return self.combine(a, b) == b

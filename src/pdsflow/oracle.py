@@ -581,7 +581,7 @@ def check_completeness(pds: PushdownSystem, result: SaturationResult, sol,
                 report.violations.append(OracleViolation(
                     c, 0, "no paths", alg.render(rhs),
                 ))
-            elif not alg.eq(rhs, value.value):
+            elif rhs != value.value:
                 report.violations.append(OracleViolation(
                     c, value.count, alg.render(value.value), alg.render(rhs),
                 ))

@@ -86,13 +86,13 @@ class PushdownSystem(NamedTuple):
     algebra: FlowAlgebra
 
     @classmethod
-    def from_rules(cls, rules: Iterable[Rule], algebra: FlowAlgebra,
-                   *, allow_eps_lhs: bool = False) -> "PushdownSystem":
+    def from_rules(cls, rules: Iterable[Rule],
+                   algebra: FlowAlgebra) -> "PushdownSystem":
         """Build a system from rules, merging duplicate edges by combine.
 
         Duplicates share (from_loc, from_sym, to_loc, to_word); their
         weights are joined.  Right-hand sides longer than two symbols
-        are rejected.
+        are rejected, and so are rules that consume no stack symbol.
         """
         merged: dict = {}  # a merged rule keeps its first rule's place
         locations: set = set()
@@ -104,7 +104,7 @@ class PushdownSystem(NamedTuple):
                     f"{r.to_loc},{' '.join(r.to_word)} has a right-hand side "
                     f"longer than two symbols"
                 )
-            if r.from_sym is None and not allow_eps_lhs:
+            if r.from_sym is None:
                 raise ParseError(
                     f"rule at {r.from_loc} consumes no stack symbol; "
                     f"that is only allowed in derived systems"

@@ -116,7 +116,7 @@ def encode_icfg(g: ICFG) -> PushdownSystem:
     return from_rules(rules, alg)
 
 
-def from_rules(rules, algebra, *, allow_eps_lhs=False):
+def from_rules(rules, algebra):
     """``PushdownSystem.from_rules`` as three passes: merge, then
     collect the locations, then the alphabet."""
     merged: dict = {}
@@ -128,7 +128,7 @@ def from_rules(rules, algebra, *, allow_eps_lhs=False):
                 f"{r.to_loc},{' '.join(r.to_word)} has a right-hand side "
                 f"longer than two symbols"
             )
-        if r.from_sym is None and not allow_eps_lhs:
+        if r.from_sym is None:
             raise ParseError(
                 f"rule at {r.from_loc} consumes no stack symbol; "
                 f"that is only allowed in derived systems"

@@ -170,13 +170,13 @@ def test_criterion_3_killgen_law_table():
         assert report.verdict(law).status == "holds"
     assert report.verdict("annihilates-right").status == "holds"
     for e in alg.elements:
-        assert alg.eq(alg.extend(e, alg.zero), alg.zero)
+        assert alg.extend(e, alg.zero) == alg.zero
     failure = report.verdict("annihilates-left")
     assert failure.status == "fails"
     (witness,) = failure.counterexample
     assert witness.gen
     for e in alg.elements:
-        broken = not alg.eq(alg.extend(alg.zero, e), alg.zero)
+        broken = alg.extend(alg.zero, e) != alg.zero
         assert broken == bool(e.gen)
     elapsed = time.time() - started
     assert elapsed < 1.0
@@ -271,7 +271,7 @@ def test_criterion_7_solver_properties(suite):
             for _ in range(500):
                 stepped = apply_F(sol, result.constraints)
                 merged = {t: alg.combine(sol[t], stepped[t]) for t in trans}
-                if all(alg.eq(merged[t], sol[t]) for t in trans):
+                if all(merged[t] == sol[t] for t in trans):
                     break
                 sol = Solution(alg, merged)
             assert all(
@@ -281,7 +281,7 @@ def test_criterion_7_solver_properties(suite):
             assert all(alg.leq(least[t], sol[t]) for t in trans)
             least_checked += 1
         naive = iterate_to_fixpoint(result.constraints, alg)
-        assert all(alg.eq(least[t], naive[t]) for t in trans)
+        assert all(least[t] == naive[t] for t in trans)
         bound = len(alg.elements) * max(1, len(trans))
         assert least.stats["changes"] <= bound
         agree += 1
@@ -348,7 +348,7 @@ def test_criterion_9_end_to_end_demo(capsys):
                    Configuration(CONTROL_LOCATION, ("h0", "m4")))
     assert alg.render(first) == "kill={} gen={x}"
     assert alg.render(second) == "kill={x,y} gen={y,z}"
-    assert not alg.eq(first, second)
+    assert first != second
     elapsed = time.time() - started
     print(f"criterion 9 PASS: demo table matches the hand-computed fixture, "
           f"helper summaries differ by context ({elapsed:.2f}s)")

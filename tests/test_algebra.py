@@ -59,7 +59,7 @@ class TestInducedOrder:
                 assert alg.leq(x, x)
             for x, y in itertools.product(els, repeat=2):
                 if alg.leq(x, y) and alg.leq(y, x):
-                    assert alg.eq(x, y)
+                    assert x == y
             for x, y, z in itertools.product(els, repeat=3):
                 if alg.leq(x, y) and alg.leq(y, z):
                     assert alg.leq(x, z)
@@ -73,18 +73,18 @@ class TestKillGen:
     def test_zero_not_left_annihilator(self):
         alg = killgen_algebra({"a", "b"})
         out = alg.extend(alg.zero, kg(["a"], ["b"]))
-        assert alg.eq(out, kg(["a", "b"], ["b"]))
-        assert not alg.eq(out, alg.zero)
+        assert out == kg(["a", "b"], ["b"])
+        assert out != alg.zero
 
     def test_zero_right_annihilator(self):
         alg = killgen_algebra({"a", "b"})
         for x in alg.elements:
-            assert alg.eq(alg.extend(x, alg.zero), alg.zero)
+            assert alg.extend(x, alg.zero) == alg.zero
 
     def test_extend_by_hand(self):
         alg = killgen_algebra({"a", "b", "c"})
         out = alg.extend(kg(["a"], ["b"]), kg(["b"], ["c"]))
-        assert alg.eq(out, kg(["a", "b"], ["c"]))
+        assert out == kg(["a", "b"], ["c"])
 
     def test_extend_matches_function_composition(self):
         """Pairs encode l -> (l \\ kill) | gen; extend must compose them."""
@@ -98,7 +98,7 @@ class TestKillGen:
     def test_render_parse_roundtrip(self):
         alg = killgen_algebra({"a", "b"})
         for x in alg.elements:
-            assert alg.eq(alg.parse(alg.render(x)), x)
+            assert alg.parse(alg.render(x)) == x
         assert alg.render(kg(["b", "a"], [])) == "kill={a,b} gen={}"
 
     def test_parse_rejects_unknown_fact(self):
@@ -180,11 +180,11 @@ class TestKillGenBitmasks:
 class TestMinPlus:
     def test_combine_is_min(self):
         alg = minplus_algebra()
-        assert alg.eq(alg.combine(3, 5), 3)
+        assert alg.combine(3, 5) == 3
 
     def test_infinity_absorbs_extend(self):
         alg = minplus_algebra()
-        assert alg.eq(alg.extend(INF, 4), INF)
+        assert alg.extend(INF, 4) == INF
 
     def test_parse(self):
         alg = minplus_algebra()
@@ -224,13 +224,13 @@ class TestTabulated:
         const_top = {"bot": "top", "top": "top"}
         alg = tabulated_framework_algebra(lat, [const_top])
         f = alg.parse("[bot->top,top->top]")
-        assert alg.eq(alg.extend(alg.one, f), f)
-        assert alg.eq(alg.extend(f, alg.one), f)
+        assert alg.extend(alg.one, f) == f
+        assert alg.extend(f, alg.one) == f
 
     def test_bottom_map_neutral_for_combine(self):
         lat = self.two_point()
         alg = tabulated_framework_algebra(lat, [])
-        assert alg.eq(alg.combine(alg.zero, alg.one), alg.one)
+        assert alg.combine(alg.zero, alg.one) == alg.one
 
     def test_composition_with_bottom_map_is_one_sided(self):
         lat = self.two_point()
@@ -238,9 +238,9 @@ class TestTabulated:
         alg = tabulated_framework_algebra(lat, [const_top])
         f = alg.parse("[bot->top,top->top]")
         # f then constant-bottom collapses; constant-bottom then f does not
-        assert alg.eq(alg.extend(f, alg.zero), alg.zero)
-        assert alg.eq(alg.extend(alg.zero, f), f)
-        assert not alg.eq(alg.extend(alg.zero, f), alg.zero)
+        assert alg.extend(f, alg.zero) == alg.zero
+        assert alg.extend(alg.zero, f) == f
+        assert alg.extend(alg.zero, f) != alg.zero
 
     def test_non_monotone_rejected_with_witness(self):
         lat = self.two_point()
@@ -277,14 +277,14 @@ class TestTabulated:
         def phi(e):
             return tuple(e.apply(l) for l in lat.elements)
 
-        assert tab.eq(phi(kga.zero), tab.zero)
-        assert tab.eq(phi(kga.one), tab.one)
+        assert phi(kga.zero) == tab.zero
+        assert phi(kga.one) == tab.one
         images = {tab.render(phi(e)) for e in kga.elements}
         assert len(images) == 3 ** len(domain)
         assert images == {tab.render(t) for t in tab.elements}
         for x, y in itertools.product(kga.elements, repeat=2):
-            assert tab.eq(phi(kga.combine(x, y)), tab.combine(phi(x), phi(y)))
-            assert tab.eq(phi(kga.extend(x, y)), tab.extend(phi(x), phi(y)))
+            assert phi(kga.combine(x, y)) == tab.combine(phi(x), phi(y))
+            assert phi(kga.extend(x, y)) == tab.extend(phi(x), phi(y))
 
 
 class TestCheckLaws:
@@ -296,7 +296,7 @@ class TestCheckLaws:
         (witness,) = verdict.counterexample
         assert witness.gen  # any element with a nonempty gen set breaks it
         out = alg.extend(alg.zero, witness)
-        assert not alg.eq(out, alg.zero)
+        assert out != alg.zero
 
     def test_killgen_remaining_laws_hold(self):
         report = check_laws(killgen_algebra({"x", "y"}))
@@ -313,8 +313,8 @@ class TestCheckLaws:
             for e in alg.elements:
                 left = alg.extend(alg.zero, e)
                 right = alg.extend(e, alg.zero)
-                assert alg.eq(right, alg.zero)
-                assert alg.eq(left, alg.zero) == (not e.gen)
+                assert right == alg.zero
+                assert (left == alg.zero) == (not e.gen)
 
     def test_abstract_carrier_needs_samples(self):
         with pytest.raises(NoSamplesError):

@@ -214,8 +214,8 @@ class TestReadout:
         w2 = alg.parse("kill={} gen={u}")
         sol = self.sol(alg, {t1: w1, t2: w2})
         out = read_weight_post(aut, sol, Run((t1, t2)))
-        assert alg.eq(out, alg.extend(w2, w1))
-        assert not alg.eq(out, alg.extend(w1, w2))
+        assert out == alg.extend(w2, w1)
+        assert out != alg.extend(w1, w2)
 
     def test_query_single_run(self, simple):
         sol = self.sol(MP, {Transition("p", "a", "q_f"): 4})

@@ -205,7 +205,7 @@ class TestConstraintShapes:
         result = pre_star(pds, pre_input)
         seeds = [
             c for c in result.constraints
-            if c.before == c.after == () and MP.eq(c.weight, MP.one)
+            if c.before == c.after == () and c.weight == MP.one
         ]
         assert {c.rhs for c in seeds} == set(pre_input.transitions)
 

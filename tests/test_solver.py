@@ -108,7 +108,7 @@ class TestApplyF:
         _, result = w_pre_result
         sol = solve_least(result.constraints, MP)
         again = apply_F(sol, result.constraints)
-        assert all(MP.eq(again[t], sol[t]) for t in sol)
+        assert all(again[t] == sol[t] for t in sol)
 
 
 class TestSolveLeast:
@@ -201,7 +201,7 @@ class TestProperties:
                 merged = {
                     t: alg.combine(sol[t], stepped[t]) for t in trans
                 }
-                if all(alg.eq(merged[t], sol[t]) for t in trans):
+                if all(merged[t] == sol[t] for t in trans):
                     break
                 sol = Solution(alg, merged)
             for c in result.constraints:
@@ -213,7 +213,7 @@ class TestProperties:
             alg = pds.algebra
             fast = solve_least(result.constraints, alg)
             slow = iterate_to_fixpoint(result.constraints, alg)
-            assert all(alg.eq(fast[t], slow[t]) for t in fast)
+            assert all(fast[t] == slow[t] for t in fast)
 
     def test_change_count_bounded_by_carrier_times_variables(self):
         pds, result = killgen_instance()
