@@ -182,7 +182,7 @@ def _cmd_analyze(args) -> int:
     aut = single_config_automaton(pds, c, args.direction)
     result = _saturate(pds, aut)
     sol = solve_least(result.constraints, pds.algebra)
-    table = analysis_report(g, args.direction, sol, result.automaton)
+    table = analysis_report(g, sol, result.automaton)
     sys.stdout.write(render_report(g, table, pds.algebra))
     return EXIT_OK
 

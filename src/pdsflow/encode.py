@@ -123,7 +123,7 @@ def encode_icfg(g: ICFG) -> PushdownSystem:
 # per-node result table
 
 
-def analysis_report(g: ICFG, direction: str, sol, aut: PAutomaton) -> dict:
+def analysis_report(g: ICFG, sol, aut: PAutomaton) -> dict:
     """Per-node weights: for each node, the join of the query over every
     accepted configuration with that node on top of the stack, or None
     when no accepted configuration has it on top.  A node joins

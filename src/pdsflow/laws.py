@@ -20,31 +20,31 @@ from .errors import NoSamplesError
 MAX_EXHAUSTIVE_PAIRS = 4096
 MAX_EXHAUSTIVE_TRIPLES = 32768
 
-# One row per law: (law, arity, predicate).  A predicate takes the
+# One row per law: law -> (arity, predicate).  A predicate takes the
 # algebra ``A`` and one combination of carrier elements and says whether
 # the law holds there.  Base laws first, then the semiring laws.
-_LAWS = (
-    ("combine-idempotent", 1, lambda A, a: A.combine(a, a) == a),
-    ("combine-commutative", 2, lambda A, a, b: A.combine(a, b) == A.combine(b, a)),
-    ("combine-associative", 3, lambda A, a, b, c:
+_LAWS = {
+    "combine-idempotent": (1, lambda A, a: A.combine(a, a) == a),
+    "combine-commutative": (2, lambda A, a, b: A.combine(a, b) == A.combine(b, a)),
+    "combine-associative": (3, lambda A, a, b, c:
         A.combine(A.combine(a, b), c) == A.combine(a, A.combine(b, c))),
-    ("zero-neutral", 1, lambda A, a: A.combine(a, A.zero) == a),
-    ("extend-associative", 3, lambda A, a, b, c:
+    "zero-neutral": (1, lambda A, a: A.combine(a, A.zero) == a),
+    "extend-associative": (3, lambda A, a, b, c:
         A.extend(A.extend(a, b), c) == A.extend(a, A.extend(b, c))),
-    ("one-neutral", 1, lambda A, a:
+    "one-neutral": (1, lambda A, a:
         A.extend(a, A.one) == a and A.extend(A.one, a) == a),
-    ("extend-monotone", 3, lambda A, a, b, c: not A.leq(a, b) or (
+    "extend-monotone": (3, lambda A, a, b, c: not A.leq(a, b) or (
         A.leq(A.extend(a, c), A.extend(b, c))
         and A.leq(A.extend(c, a), A.extend(c, b)))),
-    ("distributes-left", 3, lambda A, a, b, c:
+    "distributes-left": (3, lambda A, a, b, c:
         A.extend(a, A.combine(b, c)) == A.combine(A.extend(a, b), A.extend(a, c))),
-    ("distributes-right", 3, lambda A, a, b, c:
+    "distributes-right": (3, lambda A, a, b, c:
         A.extend(A.combine(a, b), c) == A.combine(A.extend(a, c), A.extend(b, c))),
-    ("annihilates-left", 1, lambda A, a: A.extend(A.zero, a) == A.zero),
-    ("annihilates-right", 1, lambda A, a: A.extend(a, A.zero) == A.zero),
-)
+    "annihilates-left": (1, lambda A, a: A.extend(A.zero, a) == A.zero),
+    "annihilates-right": (1, lambda A, a: A.extend(a, A.zero) == A.zero),
+}
 
-LAW_NAMES = tuple(law for law, _, _ in _LAWS)
+LAW_NAMES = tuple(_LAWS)
 _BASE_LAWS = LAW_NAMES[:7]
 _SEMIRING_LAWS = LAW_NAMES[7:]
 _DISTRIBUTIVITY_LAWS = LAW_NAMES[7:9]
@@ -101,6 +101,26 @@ class LawReport:
         return "\n".join(lines)
 
 
+def _law_verdict(alg: FlowAlgebra, law: str,
+                 samples: Optional[Sequence]) -> LawVerdict:
+    """The verdict on one law, as ``check_laws`` gives it."""
+    if alg.elements is None and not samples:
+        raise NoSamplesError(
+            f"algebra {alg.name!r} has an abstract carrier; provide samples"
+        )
+    arity, holds = _LAWS[law]
+    budget = MAX_EXHAUSTIVE_PAIRS if arity <= 2 else MAX_EXHAUSTIVE_TRIPLES
+    exhaustive = (alg.elements is not None
+                  and len(alg.elements) ** arity <= budget)
+    pool = (alg.elements if exhaustive
+            else list(dict.fromkeys([*(samples or ()), alg.zero, alg.one])))
+    combos = itertools.product(pool, repeat=arity)
+    ce = next((c for c in combos if not holds(alg, *c)), None)
+    status = ("fails" if ce is not None
+              else "holds" if exhaustive else "sampled-only")
+    return LawVerdict(law, status, ce)
+
+
 def check_laws(alg: FlowAlgebra, samples: Optional[Sequence] = None) -> LawReport:
     """Check every algebra law, exhaustively when the carrier allows.
 
@@ -111,21 +131,5 @@ def check_laws(alg: FlowAlgebra, samples: Optional[Sequence] = None) -> LawRepor
     failing law's counterexample is its first failing combination in
     ``itertools.product`` order.
     """
-    if alg.elements is None and not samples:
-        raise NoSamplesError(
-            f"algebra {alg.name!r} has an abstract carrier; provide samples"
-        )
-
-    sample_pool = list(dict.fromkeys([*(samples or ()), alg.zero, alg.one]))
-    verdicts = {}
-    for law, arity, holds in _LAWS:
-        budget = MAX_EXHAUSTIVE_PAIRS if arity <= 2 else MAX_EXHAUSTIVE_TRIPLES
-        exhaustive = (alg.elements is not None
-                      and len(alg.elements) ** arity <= budget)
-        pool = alg.elements if exhaustive else sample_pool
-        combos = itertools.product(pool, repeat=arity)
-        ce = next((c for c in combos if not holds(alg, *c)), None)
-        status = ("fails" if ce is not None
-                  else "holds" if exhaustive else "sampled-only")
-        verdicts[law] = LawVerdict(law, status, ce)
+    verdicts = {law: _law_verdict(alg, law, samples) for law in LAW_NAMES}
     return LawReport(algebra_name=alg.name, verdicts=verdicts)

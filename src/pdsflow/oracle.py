@@ -2,11 +2,14 @@
 
 Bounded breadth-first enumeration of rule sequences over a composite
 rule system, the join of their weights, and the executable forms of the
-soundness and completeness statements.  Deliberately shares no
-saturation or solving code with the engine.  The run enumeration, the
-step relation, the composite rule systems and the saturation witnesses
-that the checks and the tests rely on live here too, off the command
-path.
+soundness and completeness statements.  Both checks read one search
+plan: backward, one search per accepted configuration towards an empty
+stack at a final state; forward, one search per final state from its
+empty stack, collecting every accepted configuration it reaches.
+Deliberately shares no saturation or solving code with the engine.  The
+run enumeration, the step relation, the composite rule systems and the
+saturation witnesses that the checks and the tests rely on live here
+too, off the command path.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .automaton import (
     transition_key,
 )
 from .errors import PreconditionNotMetError
-from .laws import check_laws
+from .laws import _DISTRIBUTIVITY_LAWS, _law_verdict
 from .pds import Configuration, PushdownSystem, Rule, mid_location
 from .saturation import SaturationResult
 
@@ -454,81 +457,66 @@ class OracleReport:
         return "\n".join(self.render_lines()) + "\n"
 
 
-def _composite_rules(pds: PushdownSystem, result: SaturationResult) -> list:
-    if result.automaton.direction == PRE:
-        return build_delta_pre(pds, result.original)
-    return build_delta_post2(pds, result.original)
+def _search_plan(pds: PushdownSystem, result: SaturationResult,
+                 accepted: list, depth_bound: int) -> list:
+    """The module's search plan, in order, as (covered, exhausted, hits)
+    triples: ``hits`` pairs an accepted configuration with each rule
+    sequence, in breadth-first order, that links it to an empty stack at
+    a final state, and ``covered`` holds the configurations whose
+    sequences the search may find."""
+    if depth_bound < 1:
+        raise ValueError("depth_bound must be at least 1")
+    aut = result.automaton
+    backward = aut.direction == PRE
+    if backward:
+        rules = build_delta_pre(pds, result.original)
+        searches = [(c, (c,)) for c in accepted]
+    else:
+        rules = build_delta_post2(pds, result.original)
+        searches = [(Configuration(q, ()), accepted) for q in sorted(aut.finals)]
+    targets = set(accepted)
+    plan = []
+    for source, covered in searches:
+        hits: list = []
+
+        def collect(sigma, cfg):
+            if backward:
+                if not cfg.stack and cfg.loc in aut.finals:
+                    hits.append((source, sigma))
+            elif cfg in targets:
+                hits.append((cfg, sigma))
+
+        exhausted = _walk_paths(rules, source, depth_bound,
+                                len(source.stack) + 2 * depth_bound, collect)
+        plan.append((covered, exhausted, hits))
+    return plan
 
 
 def check_soundness(pds: PushdownSystem, result: SaturationResult, sol,
                     *, depth_bound: int = 12,
                     config_stack_bound: int = 4) -> OracleReport:
-    """Every enumerated sequence weight must sit below the readout.
-
-    Backward: sequences go from each accepted configuration to an
-    empty stack at a final state.  Forward: sequences start at an empty
-    stack on each final state and are grouped by the accepted
-    configuration they end in.
+    """Every enumerated sequence weight must sit below the readout of
+    the accepted configuration it links to a final state.  ``checked``
+    counts sequences and ``bound_limited`` counts searches: one per
+    accepted configuration backward, one per final state forward.
     """
     alg = pds.algebra
     aut = result.automaton
-    rules = _composite_rules(pds, result)
-    report = OracleReport()
     accepted = accepted_configs(aut, config_stack_bound)
-
-    if aut.direction == PRE:
-        for c in accepted:
-            rhs = query(aut, sol, c)
-            q = PathQuery.reaching_empty(rules, c, aut.finals, depth_bound)
-            sigmas: list = []
-
-            def collect(sigma, cfg, q=q, sigmas=sigmas):
-                if q.matches(cfg):
-                    sigmas.append(sigma)
-
-            exhausted = _walk_paths(q.rules, q.source, q.depth_bound,
-                                    q.stack_bound, collect)
-            if not exhausted:
-                report.bound_limited += 1
-            bad = False
-            for sigma in sigmas:
-                report.checked += 1
-                w = path_weight(alg, sigma)
-                if not alg.leq(w, rhs):
-                    bad = True
-                    report.violations.append(OracleViolation(
-                        c, len(sigma), alg.render(w), alg.render(rhs),
-                    ))
-            if not bad:
-                report.ok_configs.append(c)
-        return report
-
-    accepted_set = set(accepted)
     readout = {c: query(aut, sol, c) for c in accepted}
-    bad_configs = set()
-    for q_f in sorted(aut.finals):
-        source = Configuration(q_f, ())
-        hits: list = []
-
-        def collect(sigma, cfg):
-            if cfg in accepted_set:
-                hits.append((sigma, cfg))
-
-        exhausted = _walk_paths(
-            rules, source, depth_bound,
-            2 * depth_bound, collect,
-        )
-        if not exhausted:
-            report.bound_limited += 1
-        for sigma, cfg in hits:
+    report = OracleReport()
+    bad = set()
+    for _, exhausted, hits in _search_plan(pds, result, accepted, depth_bound):
+        report.bound_limited += not exhausted
+        for c, sigma in hits:
             report.checked += 1
             w = path_weight(alg, sigma)
-            if not alg.leq(w, readout[cfg]):
-                bad_configs.add(cfg)
+            if not alg.leq(w, readout[c]):
+                bad.add(c)
                 report.violations.append(OracleViolation(
-                    cfg, len(sigma), alg.render(w), alg.render(readout[cfg]),
+                    c, len(sigma), alg.render(w), alg.render(readout[c]),
                 ))
-    report.ok_configs = [c for c in accepted if c not in bad_configs]
+    report.ok_configs = [c for c in accepted if c not in bad]
     return report
 
 
@@ -539,60 +527,50 @@ def check_completeness(pds: PushdownSystem, result: SaturationResult, sol,
     """The readout must equal the join over all paths when the search is
     exhaustive; bound-limited configurations only get the one-sided
     check.  Requires a distributivity verdict on the weight domain.
+    ``checked`` and ``bound_limited`` count configurations.  A
+    configuration's paths are joined within each search first, then
+    across searches in plan order.
     """
     alg = pds.algebra
-    law_report = check_laws(alg, samples=samples)
-    for law in ("distributes-left", "distributes-right"):
-        if law_report.verdict(law).failed:
+    for law in _DISTRIBUTIVITY_LAWS:
+        if _law_verdict(alg, law, samples).failed:
             raise PreconditionNotMetError(
                 f"completeness requires distributivity; {law} fails for "
                 f"algebra {alg.name!r}"
             )
 
     aut = result.automaton
-    rules = _composite_rules(pds, result)
-    report = OracleReport()
     accepted = accepted_configs(aut, config_stack_bound)
+    found: dict = {}  # config -> (join over its paths, number of paths)
+    limited = set()
+    for covered, exhausted, hits in _search_plan(pds, result, accepted,
+                                                 depth_bound):
+        if not exhausted:
+            limited.update(covered)
+        within: dict = {}
+        for c, sigma in hits:
+            w = path_weight(alg, sigma)
+            v, n = within.get(c, (None, 0))
+            within[c] = (alg.combine(v, w) if n else w, n + 1)
+        for c, (w, n) in within.items():
+            v, m = found.get(c, (None, 0))
+            found[c] = (alg.combine(v, w) if m else w, m + n)
 
+    report = OracleReport()
     for c in accepted:
         rhs = query(aut, sol, c)
-        if aut.direction == PRE:
-            q = PathQuery.reaching_empty(rules, c, aut.finals, depth_bound)
-            value = join_over_paths(alg, q)
-        else:
-            parts = [
-                join_over_paths(alg, PathQuery.reaching_config(
-                    rules, Configuration(q_f, ()), c, depth_bound,
-                ))
-                for q_f in sorted(aut.finals)
-            ]
-            joined = None
-            for p in parts:
-                if p.value is not None:
-                    joined = p.value if joined is None else alg.combine(joined, p.value)
-            value = PathSetValue(
-                value=joined,
-                count=sum(p.count for p in parts),
-                exhausted=all(p.exhausted for p in parts),
-            )
+        value, count = found.get(c, (None, 0))
         report.checked += 1
-        if value.exhausted:
-            if value.count == 0:
-                report.violations.append(OracleViolation(
-                    c, 0, "no paths", alg.render(rhs),
-                ))
-            elif rhs != value.value:
-                report.violations.append(OracleViolation(
-                    c, value.count, alg.render(value.value), alg.render(rhs),
-                ))
-            else:
-                report.ok_configs.append(c)
-        else:
+        if c in limited:
             report.bound_limited += 1
-            if value.count and not alg.leq(value.value, rhs):
-                report.violations.append(OracleViolation(
-                    c, value.count, alg.render(value.value), alg.render(rhs),
-                ))
-            else:
-                report.ok_configs.append(c)
+            bad = count and not alg.leq(value, rhs)
+        else:
+            bad = not count or rhs != value
+        if bad:
+            report.violations.append(OracleViolation(
+                c, count, alg.render(value) if count else "no paths",
+                alg.render(rhs),
+            ))
+        else:
+            report.ok_configs.append(c)
     return report

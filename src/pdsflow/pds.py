@@ -107,7 +107,7 @@ class PushdownSystem(NamedTuple):
             if r.from_sym is None:
                 raise ParseError(
                     f"rule at {r.from_loc} consumes no stack symbol; "
-                    f"that is only allowed in derived systems"
+                    f"every rule must read the top of the stack"
                 )
             key = r[:4]
             prev = merged.get(key)

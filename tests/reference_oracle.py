@@ -2,12 +2,31 @@
 
 ``build_delta_post`` is the unsplit forward composite rule system, whose
 depth bounds count pushdown steps; ``enumerate_paths_depth_first``
-cross-checks the oracle's breadth-first enumeration.
+cross-checks the oracle's breadth-first enumeration.  ``check_soundness``
+and ``check_completeness`` are the oracle's checks as they were before
+both read one search plan, kept verbatim as the reference the new ones
+must agree with: soundness inlines its own path enumeration, and forward
+completeness runs one search per (accepted configuration, final state).
 """
 
-from pdsflow.automaton import transition_key
-from pdsflow.oracle import PathQuery, step
-from pdsflow.pds import PushdownSystem, Rule
+from pdsflow.automaton import PRE, query, transition_key
+from pdsflow.errors import PreconditionNotMetError
+from pdsflow.laws import check_laws
+from pdsflow.oracle import (
+    OracleReport,
+    OracleViolation,
+    PathQuery,
+    PathSetValue,
+    _walk_paths,
+    accepted_configs,
+    build_delta_post2,
+    build_delta_pre,
+    join_over_paths,
+    path_weight,
+    step,
+)
+from pdsflow.pds import Configuration, PushdownSystem, Rule
+from pdsflow.saturation import SaturationResult
 
 
 def build_delta_post(pds: PushdownSystem, aut) -> list:
@@ -42,3 +61,147 @@ def enumerate_paths_depth_first(q: PathQuery) -> list:
 
     visit((), q.source)
     return found
+
+
+def _composite_rules(pds: PushdownSystem, result: SaturationResult) -> list:
+    if result.automaton.direction == PRE:
+        return build_delta_pre(pds, result.original)
+    return build_delta_post2(pds, result.original)
+
+
+def check_soundness(pds: PushdownSystem, result: SaturationResult, sol,
+                    *, depth_bound: int = 12,
+                    config_stack_bound: int = 4) -> OracleReport:
+    """Every enumerated sequence weight must sit below the readout.
+
+    Backward: sequences go from each accepted configuration to an
+    empty stack at a final state.  Forward: sequences start at an empty
+    stack on each final state and are grouped by the accepted
+    configuration they end in.
+    """
+    alg = pds.algebra
+    aut = result.automaton
+    rules = _composite_rules(pds, result)
+    report = OracleReport()
+    accepted = accepted_configs(aut, config_stack_bound)
+
+    if aut.direction == PRE:
+        for c in accepted:
+            rhs = query(aut, sol, c)
+            q = PathQuery.reaching_empty(rules, c, aut.finals, depth_bound)
+            sigmas: list = []
+
+            def collect(sigma, cfg, q=q, sigmas=sigmas):
+                if q.matches(cfg):
+                    sigmas.append(sigma)
+
+            exhausted = _walk_paths(q.rules, q.source, q.depth_bound,
+                                    q.stack_bound, collect)
+            if not exhausted:
+                report.bound_limited += 1
+            bad = False
+            for sigma in sigmas:
+                report.checked += 1
+                w = path_weight(alg, sigma)
+                if not alg.leq(w, rhs):
+                    bad = True
+                    report.violations.append(OracleViolation(
+                        c, len(sigma), alg.render(w), alg.render(rhs),
+                    ))
+            if not bad:
+                report.ok_configs.append(c)
+        return report
+
+    accepted_set = set(accepted)
+    readout = {c: query(aut, sol, c) for c in accepted}
+    bad_configs = set()
+    for q_f in sorted(aut.finals):
+        source = Configuration(q_f, ())
+        hits: list = []
+
+        def collect(sigma, cfg):
+            if cfg in accepted_set:
+                hits.append((sigma, cfg))
+
+        exhausted = _walk_paths(
+            rules, source, depth_bound,
+            2 * depth_bound, collect,
+        )
+        if not exhausted:
+            report.bound_limited += 1
+        for sigma, cfg in hits:
+            report.checked += 1
+            w = path_weight(alg, sigma)
+            if not alg.leq(w, readout[cfg]):
+                bad_configs.add(cfg)
+                report.violations.append(OracleViolation(
+                    cfg, len(sigma), alg.render(w), alg.render(readout[cfg]),
+                ))
+    report.ok_configs = [c for c in accepted if c not in bad_configs]
+    return report
+
+
+def check_completeness(pds: PushdownSystem, result: SaturationResult, sol,
+                       *, depth_bound: int = 12,
+                       config_stack_bound: int = 4,
+                       samples=None) -> OracleReport:
+    """The readout must equal the join over all paths when the search is
+    exhaustive; bound-limited configurations only get the one-sided
+    check.  Requires a distributivity verdict on the weight domain.
+    """
+    alg = pds.algebra
+    law_report = check_laws(alg, samples=samples)
+    for law in ("distributes-left", "distributes-right"):
+        if law_report.verdict(law).failed:
+            raise PreconditionNotMetError(
+                f"completeness requires distributivity; {law} fails for "
+                f"algebra {alg.name!r}"
+            )
+
+    aut = result.automaton
+    rules = _composite_rules(pds, result)
+    report = OracleReport()
+    accepted = accepted_configs(aut, config_stack_bound)
+
+    for c in accepted:
+        rhs = query(aut, sol, c)
+        if aut.direction == PRE:
+            q = PathQuery.reaching_empty(rules, c, aut.finals, depth_bound)
+            value = join_over_paths(alg, q)
+        else:
+            parts = [
+                join_over_paths(alg, PathQuery.reaching_config(
+                    rules, Configuration(q_f, ()), c, depth_bound,
+                ))
+                for q_f in sorted(aut.finals)
+            ]
+            joined = None
+            for p in parts:
+                if p.value is not None:
+                    joined = p.value if joined is None else alg.combine(joined, p.value)
+            value = PathSetValue(
+                value=joined,
+                count=sum(p.count for p in parts),
+                exhausted=all(p.exhausted for p in parts),
+            )
+        report.checked += 1
+        if value.exhausted:
+            if value.count == 0:
+                report.violations.append(OracleViolation(
+                    c, 0, "no paths", alg.render(rhs),
+                ))
+            elif rhs != value.value:
+                report.violations.append(OracleViolation(
+                    c, value.count, alg.render(value.value), alg.render(rhs),
+                ))
+            else:
+                report.ok_configs.append(c)
+        else:
+            report.bound_limited += 1
+            if value.count and not alg.leq(value.value, rhs):
+                report.violations.append(OracleViolation(
+                    c, value.count, alg.render(value.value), alg.render(rhs),
+                ))
+            else:
+                report.ok_configs.append(c)
+    return report

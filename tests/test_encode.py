@@ -156,7 +156,7 @@ class TestEncoding:
 class TestDemoAnalysis:
     def test_table_matches_hand_computation(self):
         g, pds, result, sol = demo_pipeline()
-        table = analysis_report(g, POST, sol, result.automaton)
+        table = analysis_report(g, sol, result.automaton)
         rendered = render_report(g, table, pds.algebra)
         expected = (FIXTURES / "demo_analysis_expected.txt").read_text()
         assert rendered == expected
@@ -176,7 +176,7 @@ class TestDemoAnalysis:
 
     def test_entry_node_weight_is_one(self):
         g, pds, result, sol = demo_pipeline()
-        table = analysis_report(g, POST, sol, result.automaton)
+        table = analysis_report(g, sol, result.automaton)
         assert table["m0"] == pds.algebra.one
 
     def test_unreachable_node_reported(self):
@@ -193,7 +193,7 @@ class TestDemoAnalysis:
         aut = single_config_automaton(pds, init, POST)
         result = post_star(pds, aut)
         sol = solve_least(result.constraints, pds.algebra)
-        table = analysis_report(g, POST, sol, result.automaton)
+        table = analysis_report(g, sol, result.automaton)
         assert table["d0"] is None
         assert table["d1"] is None
         rendered = render_report(g, table, pds.algebra)
@@ -211,7 +211,7 @@ class TestDemoAnalysis:
         aut = single_config_automaton(pds, Configuration("p", ("n1",)), PRE)
         result = pre_star(pds, aut)
         sol = solve_least(result.constraints, pds.algebra)
-        table = analysis_report(g, PRE, sol, result.automaton)
+        table = analysis_report(g, sol, result.automaton)
         assert pds.algebra.render(table["n0"]) == "kill={a} gen={b}"
         assert pds.algebra.render(table["n1"]) == "kill={} gen={b}"
 
@@ -219,7 +219,7 @@ class TestDemoAnalysis:
         """Under run enumeration the reachable stack tops must equal an
         independently computed matched call/return reachability."""
         g, pds, result, sol = demo_pipeline()
-        table = analysis_report(g, POST, sol, result.automaton)
+        table = analysis_report(g, sol, result.automaton)
         reached_by_engine = {n for n, v in table.items() if v is not None}
 
         entries = {p.name: p.entry for p in g.procedures}

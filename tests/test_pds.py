@@ -66,6 +66,14 @@ class TestLoading:
         with pytest.raises(ParseError):
             load_pds("algebra minplus\nrule <p, eps> -> <p, a> weight 1\n")
 
+    def test_rule_without_stack_symbol_rejected_by_from_rules(self):
+        with pytest.raises(ParseError) as err:
+            mp_pds(Rule("p", "a", "q", (), 1), Rule("q", None, "p", ("a",), 1))
+        assert str(err.value) == (
+            "rule at q consumes no stack symbol; "
+            "every rule must read the top of the stack"
+        )
+
     def test_bad_weight_literal(self):
         with pytest.raises(ParseError) as err:
             load_pds("algebra minplus\nrule <p, a> -> <p, b> weight -4\n")

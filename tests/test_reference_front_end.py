@@ -142,7 +142,7 @@ def report(g, pds, direction, node):
     aut = single_config_automaton(pds, Configuration(CONTROL_LOCATION, (node,)), direction)
     result = (pre_star if direction == PRE else post_star)(pds, aut)
     sol = solve_least(result.constraints, pds.algebra)
-    return render_report(g, analysis_report(g, direction, sol, result.automaton),
+    return render_report(g, analysis_report(g, sol, result.automaton),
                          pds.algebra)
 
 

@@ -223,7 +223,7 @@ def assert_report_matches(g, direction, node):
     pds = encode_icfg(g)
     aut, sol = solved(pds, single_config_automaton(
         pds, Configuration(CONTROL_LOCATION, (node,)), direction))
-    new = analysis_report(g, direction, sol, aut)
+    new = analysis_report(g, sol, aut)
     old = reference.analysis_report(g, direction, sol, aut)
     assert (render_report(g, new, pds.algebra)
             == render_report(g, old, pds.algebra))

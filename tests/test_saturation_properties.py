@@ -3,20 +3,37 @@
 The strategies in ``strategies`` draw small systems in four algebras,
 recursive ones included; tabulated systems, non-distributive ones among
 them, have a property of their own.  The derandomized profile in
-``conftest`` makes every run try the same examples.
+``conftest`` makes every run try the same examples.  pre* and post* are
+also checked against each other: each answers the reachability question
+of the other.
 """
 
-from hypothesis import given
+import itertools
 
-from pdsflow import post_star, pre_star, render_constraints, solve_least
+import pytest
+from hypothesis import given, settings
+
+from pdsflow import (
+    Configuration,
+    DistributiveFlowAlgebra,
+    accepts,
+    post_star,
+    pre_star,
+    query,
+    render_constraints,
+    solve_least,
+)
 from pdsflow.automaton import POST, PRE
+from pdsflow.cli import single_config_automaton
 
 import reference_saturation as reference
 from reference_solver import iterate_to_fixpoint
-from strategies import TABULATED, instances
+from strategies import ALGEBRAS, SYMBOLS, TABULATED, instances, systems
 
 ENGINE = {PRE: pre_star, POST: post_star}
 REFERENCE = {PRE: reference.pre_star, POST: reference.post_star}
+KINDS = {**ALGEBRAS, **TABULATED}
+DUALITY_EXAMPLES = 20  # per algebra; each saturates 24 single configurations
 
 
 @given(instances())
@@ -50,3 +67,31 @@ def test_tabulated_systems_match_both_references(instance):
         assert new.automaton.text() == old.automaton.text()
         assert (solve_least(new.constraints, alg).text()
                 == iterate_to_fixpoint(new.constraints, alg).text())
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_post_star_and_pre_star_are_dual(kind):
+    """For configurations c and c2 of one or two symbols, post*({c})
+    accepts c2 iff pre*({c2}) accepts c; where extend distributes over
+    combine, the two readouts are equal too."""
+    @settings(max_examples=DUALITY_EXAMPLES)
+    @given(systems({kind: KINDS[kind]}))
+    def check(pds):
+        configs = [Configuration(p, w) for p in sorted(pds.locations)
+                   for n in (1, 2) for w in itertools.product(SYMBOLS, repeat=n)]
+        saturated = {}
+        for c in configs:
+            for direction in (PRE, POST):
+                aut = single_config_automaton(pds, c, direction)
+                result = ENGINE[direction](pds, aut)
+                saturated[c, direction] = (
+                    result.automaton, solve_least(result.constraints, pds.algebra))
+        distributive = isinstance(pds.algebra, DistributiveFlowAlgebra)
+        for c, c2 in itertools.product(configs, repeat=2):
+            forward, backward = saturated[c, POST], saturated[c2, PRE]
+            reached = accepts(forward[0], c2)
+            assert reached == accepts(backward[0], c)
+            if reached and distributive:
+                assert query(*forward, c2) == query(*backward, c)
+
+    check()
