@@ -139,7 +139,7 @@ class KillGenElement(tuple):
         return (KillGenElement, (self.kill, self.gen))
 
 
-_pair = tuple.__new__  # _pair(KillGenElement, (kill, gen)) from masks
+_new = tuple.__new__  # _new(Record, fields) skips a NamedTuple's __new__
 
 
 def _set_text(s: Iterable[str]) -> str:
@@ -214,11 +214,11 @@ def killgen_algebra(domain: Iterable[str]) -> DistributiveFlowAlgebra:
     _intern(ordered)  # bits in name order, whatever the set's iteration order
 
     def combine(a: KillGenElement, b: KillGenElement) -> KillGenElement:
-        return _pair(KillGenElement, (a[0] & b[0], a[1] | b[1]))
+        return _new(KillGenElement, (a[0] & b[0], a[1] | b[1]))
 
     def extend(a: KillGenElement, b: KillGenElement) -> KillGenElement:
         kill = b[0]
-        return _pair(KillGenElement, (a[0] | kill, (a[1] & ~kill) | b[1]))
+        return _new(KillGenElement, (a[0] | kill, (a[1] & ~kill) | b[1]))
 
     texts: dict = {}  # mask -> set literal, so a mask is decoded once
 
@@ -246,13 +246,13 @@ def killgen_algebra(domain: Iterable[str]) -> DistributiveFlowAlgebra:
             for c in itertools.combinations(ordered, r)
         ]
         return tuple(
-            _pair(KillGenElement, (k, g)) for k in subsets for g in subsets
+            _new(KillGenElement, (k, g)) for k in subsets for g in subsets
         )
 
     return DistributiveFlowAlgebra(
         name="killgen",
-        zero=_pair(KillGenElement, (_mask(ordered), 0)),
-        one=_pair(KillGenElement, (0, 0)),
+        zero=_new(KillGenElement, (_mask(ordered), 0)),
+        one=_new(KillGenElement, (0, 0)),
         combine=combine,
         extend=extend,
         render=render,

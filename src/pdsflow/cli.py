@@ -255,7 +255,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command and return its exit code, argparse's on a usage error."""
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         return args.func(args)
     except IterationLimitExceededError as exc:

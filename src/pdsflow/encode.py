@@ -14,8 +14,8 @@ import re
 from collections import OrderedDict
 from typing import NamedTuple, Optional
 
-from .algebra import KillGenElement, _fact_set, _mask, _pair, killgen_algebra
-from .automaton import PAutomaton, readout_start, then, transition_key
+from .algebra import KillGenElement, _fact_set, _mask, _new, killgen_algebra
+from .automaton import PAutomaton, readout_start, then
 from .errors import ParseError, ValidationError
 from .pds import PushdownSystem, Rule, _check_identifier
 from .record import Record
@@ -66,26 +66,25 @@ def validate_icfg(g: ICFG) -> None:
     if len(set(proc_names)) != len(proc_names):
         problems.append("duplicate procedure names")
     owner: dict = {}
-    for proc in g.procedures:
-        for node in proc.nodes:
-            if node in owner and owner[node] != proc.name:
+    for name, _, _, nodes in g.procedures:
+        for node in nodes:
+            first = owner.setdefault(node, name)
+            if first != name:
                 problems.append(
-                    f"node {node} appears in procedures "
-                    f"{owner[node]} and {proc.name}"
-                )
-            owner[node] = proc.name
+                    f"node {node} appears in procedures {first} and {name}")
+                owner[node] = name
     outside = ~_mask(g.domain)
-    for e in g.intra_edges:
-        for node in (e.src, e.dst):
-            if node not in owner:
-                problems.append(f"edge endpoint {node} belongs to no procedure")
-        if e.src in owner and e.dst in owner and owner[e.src] != owner[e.dst]:
-            problems.append(
-                f"edge {e.src} -> {e.dst} crosses procedures"
-            )
-        unknown = (e.weight[0] | e.weight[1]) & outside
+    for src, dst, (kill, gen) in g.intra_edges:
+        src_proc, dst_proc = owner.get(src), owner.get(dst)
+        if src_proc is None:
+            problems.append(f"edge endpoint {src} belongs to no procedure")
+        if dst_proc is None:
+            problems.append(f"edge endpoint {dst} belongs to no procedure")
+        elif src_proc is not None and src_proc != dst_proc:
+            problems.append(f"edge {src} -> {dst} crosses procedures")
+        unknown = (kill | gen) & outside
         for fact in sorted(_fact_set(unknown)) if unknown else ():
-            problems.append(f"edge {e.src} -> {e.dst} mentions unknown fact {fact}")
+            problems.append(f"edge {src} -> {dst} mentions unknown fact {fact}")
     known = set(proc_names)
     for c in g.call_edges:
         if c.callee not in known:
@@ -104,19 +103,24 @@ def validate_icfg(g: ICFG) -> None:
 
 def encode_icfg(g: ICFG) -> PushdownSystem:
     """Translate a graph, validated when it was built, into a weighted
-    pushdown system."""
+    pushdown system: edge rules, then call rules, then exit rules.  A
+    repeated edge joins its weight into the first one's rule, and a
+    repeated call adds no rule."""
     alg = killgen_algebra(g.domain)
-    one = alg.one
-    rules = [Rule(CONTROL_LOCATION, e.src, CONTROL_LOCATION, (e.dst,), e.weight)
-             for e in g.intra_edges]
-    entries = {p.name: p.entry for p in g.procedures}
-    for c in g.call_edges:
-        rules.append(Rule(CONTROL_LOCATION, c.src, CONTROL_LOCATION,
-                          (entries[c.callee], c.return_node), one))
-    for proc in g.procedures:
-        rules.append(Rule(CONTROL_LOCATION, proc.exit, CONTROL_LOCATION,
-                          (), one))
-    return PushdownSystem.from_rules(rules, alg)
+    combine, one, p = alg.combine, alg.one, CONTROL_LOCATION
+    edges: dict = {}  # (src, dst) -> the join of its weights
+    for src, dst, weight in g.intra_edges:
+        key = (src, dst)
+        edges[key] = combine(edges[key], weight) if key in edges else weight
+    entries = {proc.name: proc.entry for proc in g.procedures}
+    calls = dict.fromkeys((src, entries[callee], ret)
+                          for src, callee, ret in g.call_edges)
+    exits = [proc.exit for proc in g.procedures]
+    rules = ([_new(Rule, (p, src, p, (dst,), w)) for (src, dst), w in edges.items()]
+             + [_new(Rule, (p, call[0], p, call[1:], one)) for call in calls]
+             + [_new(Rule, (p, x, p, (), one)) for x in exits])
+    alphabet = frozenset(exits).union(*edges, *calls)
+    return PushdownSystem(frozenset((p,)), alphabet, tuple(rules), alg)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +136,11 @@ def analysis_report(g: ICFG, sol, aut: PAutomaton) -> dict:
     runs from ``q`` to a final state."""
     alg = sol.algebra
     step = then(aut, alg)
-    into: dict = {}  # dst -> labeled transitions
-    for t in sorted(aut.transitions, key=transition_key):
-        if t.label is not None:
-            into.setdefault(t.dst, []).append(t)
+    into: dict = {}  # dst -> labeled transitions, in transition_key order
+    for src in sorted({t.src for t in aut.transitions}):
+        for t in aut.outgoing(src):
+            if t.label is not None:
+                into.setdefault(t.dst, []).append(t)
     rest = {q: alg.one for q in sorted(aut.finals)}
     todo = OrderedDict.fromkeys(rest)  # a FIFO queue that holds a state once
     while todo:
@@ -202,6 +207,7 @@ def load_icfg(text: str, source: str = "<icfg>") -> ICFG:
     procs: list = []  # (name, entry, exit, nodes, intra edges, call edges)
     nodes = edges = calls = None  # those of the most recent procedure
     bits: dict = {}  # fact list item -> the bit of its stripped name
+    masks: dict = {}  # fact list -> the mask of its items
 
     def fact_mask(text: str) -> int:
         mask = 0
@@ -210,13 +216,14 @@ def load_icfg(text: str, source: str = "<icfg>") -> ICFG:
             if bit is None:
                 bit = bits[item] = _mask((item.strip(),))
             mask |= bit
+        masks[text] = mask
         return mask
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
+        if not line or line[0] == "#":
             continue
-        if line.startswith("edge"):
+        keyword = line[:4]  # the line's kind, as a prefix: "edges" is a bad edge
+        if keyword == "edge":
             m = _EDGE_RE.match(line)
             if not m:
                 raise ParseError("bad edge line", source, lineno)
@@ -224,10 +231,10 @@ def load_icfg(text: str, source: str = "<icfg>") -> ICFG:
                 raise ParseError("edge appears before any proc", source, lineno)
             src, dst, kill, gen = m.groups()
             nodes[src] = nodes[dst] = None
-            edges.append(IntraEdge(src, dst, _pair(
-                KillGenElement, (fact_mask(kill), fact_mask(gen)))))
-            continue
-        if line.startswith("call"):
+            kill = masks[kill] if kill in masks else fact_mask(kill)
+            gen = masks[gen] if gen in masks else fact_mask(gen)
+            edges.append(_new(IntraEdge, (src, dst, _new(KillGenElement, (kill, gen)))))
+        elif keyword == "call":
             m = _CALL_RE.match(line)
             if not m:
                 raise ParseError("bad call line", source, lineno)
@@ -235,17 +242,15 @@ def load_icfg(text: str, source: str = "<icfg>") -> ICFG:
                 raise ParseError("call appears before any proc", source, lineno)
             src, callee, ret = m.groups()
             nodes[src] = nodes[ret] = None
-            calls.append(CallEdge(src, callee, ret))
-            continue
-        if line.startswith("proc"):
+            calls.append(_new(CallEdge, (src, callee, ret)))
+        elif keyword == "proc":
             m = _PROC_RE.match(line)
             if not m:
                 raise ParseError("bad proc line", source, lineno)
             name, entry, exit_ = m.groups()
             nodes, edges, calls = dict.fromkeys((entry, exit_)), [], []
             procs.append((name, entry, exit_, nodes, edges, calls))
-            continue
-        if line.startswith("domain"):
+        elif line[:6] == "domain":
             m = re.match(r"domain\s+\{([^}]*)\}\Z", line)
             if not m:
                 raise ParseError("bad domain line", source, lineno)
@@ -253,14 +258,13 @@ def load_icfg(text: str, source: str = "<icfg>") -> ICFG:
             if not facts:
                 raise ParseError("domain must be nonempty", source, lineno)
             domain = ([f.strip() for f in facts.split(",")], lineno)
-            continue
-        if line.startswith("main"):
+        elif keyword == "main":
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError("bad main line", source, lineno)
             main = parts[1]
-            continue
-        raise ParseError(f"unrecognized line: {line!r}", source, lineno)
+        else:
+            raise ParseError(f"unrecognized line: {line!r}", source, lineno)
     if domain is None:
         raise ParseError("missing domain line", source)
     if main is None:
@@ -270,7 +274,7 @@ def load_icfg(text: str, source: str = "<icfg>") -> ICFG:
         _check_identifier(fact, "fact name", source, lineno)
     return ICFG(
         domain=frozenset(facts),
-        procedures=tuple(Procedure(name, entry, exit_, tuple(nodes))
+        procedures=tuple(_new(Procedure, (name, entry, exit_, tuple(nodes)))
                          for name, entry, exit_, nodes, _, _ in procs),
         intra_edges=tuple(e for p in procs for e in p[4]),
         call_edges=tuple(c for p in procs for c in p[5]),

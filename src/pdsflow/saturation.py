@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, NamedTuple
 
-from .algebra import FlowAlgebra
+from .algebra import FlowAlgebra, _new
 from .automaton import (
     POST,
     PRE,
@@ -97,11 +97,11 @@ def _saturate(pds: PushdownSystem, aut: PAutomaton,
 
     def emit(t, before, w, after, rule=None) -> None:
         """Record before (x) w (x) after <= t, and add t if it is new."""
-        constraints[Constraint(before, w, after, t)] = None
+        constraints[_new(Constraint, (before, w, after, t))] = None
         if t not in transitions:
             transitions[t] = None
             worklist.append(t)
-            trace.append(TraceEntry(t, rule, before + after))
+            trace.append(_new(TraceEntry, (t, rule, before + after)))
 
     def popped(src: str, label) -> list:
         return out.get(src, {}).get(label, ())
@@ -117,7 +117,7 @@ def _saturate(pds: PushdownSystem, aut: PAutomaton,
         second: dict = {}  # to_word[1] -> push rules
         for r in pds.rules:
             if not r.to_word:
-                emit(Transition(r.from_loc, r.from_sym, r.to_loc),
+                emit(_new(Transition, (r.from_loc, r.from_sym, r.to_loc)),
                      (), r.weight, (), r)
                 continue
             first.setdefault((r.to_loc, r.to_word[0]), []).append(r)
@@ -127,16 +127,16 @@ def _saturate(pds: PushdownSystem, aut: PAutomaton,
         def fire(t: Transition) -> None:
             for r in first.get((t.src, t.label), ()):
                 if len(r.to_word) == 1:
-                    emit(Transition(r.from_loc, r.from_sym, t.dst),
+                    emit(_new(Transition, (r.from_loc, r.from_sym, t.dst)),
                          (), r.weight, (t,), r)
                     continue
                 for t2 in popped(t.dst, r.to_word[1]):
-                    emit(Transition(r.from_loc, r.from_sym, t2.dst),
+                    emit(_new(Transition, (r.from_loc, r.from_sym, t2.dst)),
                          (), r.weight, (t, t2), r)
             for r in second.get(t.label, ()):
                 for t1 in popped(r.to_loc, r.to_word[0]):
                     if t1.dst == t.src:
-                        emit(Transition(r.from_loc, r.from_sym, t.dst),
+                        emit(_new(Transition, (r.from_loc, r.from_sym, t.dst)),
                              (), r.weight, (t1, t), r)
     else:
         by_lhs: dict = {}  # (from_loc, from_sym) -> rules
@@ -146,11 +146,12 @@ def _saturate(pds: PushdownSystem, aut: PAutomaton,
         def apply(r: Rule, q: str, path: tuple) -> None:
             if len(r.to_word) == 2:
                 mid = mid_location(r.to_loc, r.to_word[0])
-                emit(Transition(r.to_loc, r.to_word[0], mid), (), alg.one, (), r)
-                t_new = Transition(mid, r.to_word[1], q)
+                emit(_new(Transition, (r.to_loc, r.to_word[0], mid)),
+                     (), alg.one, (), r)
+                t_new = _new(Transition, (mid, r.to_word[1], q))
             else:
                 label = r.to_word[0] if r.to_word else None
-                t_new = Transition(r.to_loc, label, q)
+                t_new = _new(Transition, (r.to_loc, label, q))
             emit(t_new, path, r.weight, (), r)
 
         def fire(t: Transition) -> None:

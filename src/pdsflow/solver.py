@@ -25,7 +25,8 @@ class Solution(Record, Mapping):
     ``stats`` carries solver counters (applications, changes) when the
     worklist solver produced the solution; it never affects equality.
     A solution equals only another ``Solution``, never a plain dict, and
-    is unhashable, as its assignment is a dict.
+    is unhashable, as its assignment is a dict.  It iterates over its
+    transitions in ``transition_key`` order, sorting them when iterated.
     """
 
     __slots__ = _fields = ("algebra", "assignment", "stats")
@@ -42,7 +43,7 @@ class Solution(Record, Mapping):
         return self.assignment[t]
 
     def __iter__(self):
-        return iter(self.assignment)
+        return iter(sorted(self.assignment, key=transition_key))
 
     def __len__(self) -> int:
         return len(self.assignment)
@@ -84,15 +85,6 @@ def eval_lhs(sol, c: Constraint):
     return acc
 
 
-def constraint_variables(constraints) -> list:
-    """Every transition mentioned by the constraints, sorted."""
-    seen = set()
-    for c in constraints:
-        seen.add(c.rhs)
-        seen.update(c.before, c.after)
-    return sorted(seen, key=transition_key)
-
-
 def solve_least(constraints, alg: FlowAlgebra,
                 config: SolverConfig | None = None) -> Solution:
     """Least fixpoint by chaotic worklist iteration from all-zero.
@@ -103,14 +95,12 @@ def solve_least(constraints, alg: FlowAlgebra,
     """
     config = config or SolverConfig()
     constraints = list(constraints)
-    variables = constraint_variables(constraints)
-    assignment = {t: alg.zero for t in variables}
-    sol = Solution(alg, assignment)
-
     dependents: dict = {}
     for i, c in enumerate(constraints):
         for t in c.before + c.after:
             dependents.setdefault(t, []).append(i)
+    assignment = dict.fromkeys([*dependents, *(c.rhs for c in constraints)], alg.zero)
+    sol = Solution(alg, assignment)
 
     worklist = deque(range(len(constraints)))
     queued = set(worklist)

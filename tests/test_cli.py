@@ -78,9 +78,7 @@ class TestSolve:
                 "--direction", "pre", "--max-steps", steps]
         if command == "query":
             argv += ["--config", "<p: a end>"]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        assert main(argv) == 2
         assert "--max-steps" in capsys.readouterr().err
 
 
@@ -293,6 +291,35 @@ def test_internal_error_exit_five(capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert err == "error: internal error: RuntimeError: injected fault\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["frobnicate"],
+    ["analyze", "--icfg", ICFG, "--init-config", "-> m0>"],
+    ["analyze", "--icfg", ICFG, "--init-config", "->"],
+])
+def test_usage_errors_return_two(capsys, argv):
+    """A usage error returns 2 from ``main`` with its message on stderr,
+    instead of raising ``SystemExit``; a value that reads as an option,
+    given as its own word, is one too."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error: " in err
+
+
+def test_help_returns_zero(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: pdsflow")
+
+
+def test_console_exit_codes():
+    """Run as a program, the module still exits with main's code."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pdsflow.__file__).parents[1]))
+    for argv, code in ((["frobnicate"], 2), (["--help"], 0)):
+        done = subprocess.run([sys.executable, "-m", "pdsflow.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == code, done.stderr
 
 
 def _wide_icfg() -> str:

@@ -93,9 +93,10 @@ def mutate(rng, text, tokens=TOKENS):
 
 
 def argv_for(rng, command, pds_path, aut_path, direction, config):
-    if command == "analyze":  # "=" keeps a config such as "-> m0>" a value
-        return [command, "--icfg", pds_path, "--direction", direction,
-                f"--init-config={config}"]
+    if command == "analyze":  # as one word "=" keeps a config such as "->" a value
+        config_args = ([f"--init-config={config}"] if rng.random() < 0.5
+                       else ["--init-config", config])
+        return [command, "--icfg", pds_path, "--direction", direction, *config_args]
     if command == "check-algebra":
         return [command, "--pds", pds_path]
     argv = [command, "--pds", pds_path, "--automaton", aut_path]

@@ -10,6 +10,7 @@ to kill={y} gen={x,z}.
 """
 
 import itertools
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,10 +26,14 @@ from pdsflow import (
     render_report,
     solve_least,
 )
-from pdsflow.automaton import POST
-from pdsflow.cli import single_config_automaton
+from pdsflow import encode
+from pdsflow.automaton import POST, transition_key
+from pdsflow.cli import main, single_config_automaton
 from pdsflow.encode import CONTROL_LOCATION, ICFG, IntraEdge, Procedure
 from pdsflow.errors import ValidationError
+from pdsflow.pds import PushdownSystem
+
+import reference_front_end as reference
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -46,6 +51,23 @@ call n0 -> sub return n1
 edge n1 -> n2 kill={} gen={a}
 proc sub entry s0 exit s1
 edge s0 -> s1 kill={a} gen={}
+main main
+"""
+
+# A valid graph whose rules repeat: a second m0 -> m1 edge with other
+# facts, a repeated call line, and a procedure that nobody calls whose
+# entry has no edge, so only its exit is a stack symbol.
+DUPLICATES = """
+domain {a,b,c}
+proc main entry m0 exit m3
+edge m0 -> m1 kill={a} gen={b}
+call m1 -> sub return m2
+edge m2 -> m3 kill={} gen={}
+edge m0 -> m1 kill={b} gen={c}
+call m1 -> sub return m2
+proc sub entry s0 exit s1
+edge s0 -> s1 kill={c} gen={a}
+proc idle entry i0 exit i1
 main main
 """
 
@@ -94,6 +116,20 @@ class TestEncoding:
         pds = encode_icfg(demo())
         assert all(len(r.to_word) <= 2 for r in pds.rules)
         assert all(r.from_sym is not None for r in pds.rules)
+
+    def test_duplicate_rules_merge_as_from_rules_merges_them(self):
+        """The system is built from the graph, not through
+        ``PushdownSystem.from_rules``, and still gives the rules, their
+        order, the locations and the alphabet of the old merge."""
+        pds = encode_icfg(load_icfg(DUPLICATES))
+        ref = reference.encode_icfg(reference.load_icfg(DUPLICATES))
+        assert pds.rules == ref.rules
+        assert (pds.locations, pds.alphabet) == (ref.locations, ref.alphabet)
+        assert [(r.from_sym, r.to_word) for r in pds.rules] == [
+            ("m0", ("m1",)), ("m2", ("m3",)), ("s0", ("s1",)),
+            ("m1", ("s0", "m2")), ("m3", ()), ("s1", ()), ("i1", ())]
+        assert pds.rules[0].weight == KillGenElement((), {"b", "c"})
+        assert pds.alphabet == {"m0", "m1", "m2", "m3", "s0", "s1", "i1"}
 
     def test_carrier_is_built_only_when_read(self, monkeypatch):
         """The 4^8-element kill/gen carrier of an 8-fact graph is left
@@ -248,3 +284,40 @@ class TestDemoAnalysis:
                 if exits[proc] in reached:
                     frontier.extend(r for r in rets if r not in reached)
         assert reached_by_engine == reached
+
+
+@pytest.mark.parametrize("direction, node", [("post", "m0"), ("pre", "m5")])
+def test_analyze_does_not_redo_earlier_work(monkeypatch, capsys, direction, node):
+    """One ``analyze`` builds its system without ``from_rules``, solves
+    without sorting, and sorts the saturated transitions once for the
+    report.  Counting wrappers replace ``transition_key`` in every
+    pdsflow module that holds it, and ``from_rules``; nothing is timed."""
+    counts: dict = {}  # module -> transition_key calls through its global
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pdsflow.") and vars(module).get("transition_key") is transition_key:
+            def counted(t, name=name):
+                counts[name] = counts.get(name, 0) + 1
+                return transition_key(t)
+            monkeypatch.setattr(module, "transition_key", counted)
+    merges = []
+    from_rules = PushdownSystem.from_rules
+    monkeypatch.setattr(PushdownSystem, "from_rules", classmethod(
+        lambda cls, *args: merges.append(args) or from_rules(*args)))
+    reports = []  # (transition_key calls inside the report, transitions)
+    report = encode.analysis_report
+
+    def counted_report(g, sol, aut):
+        before = sum(counts.values())
+        table = report(g, sol, aut)
+        reports.append((sum(counts.values()) - before, len(aut.transitions)))
+        return table
+
+    monkeypatch.setattr(encode, "analysis_report", counted_report)
+    assert main(["analyze", "--icfg", str(FIXTURES / "demo.icfg"),
+                 "--direction", direction, "--init-config", f"<p: {node}>"]) == 0
+    out, err = capsys.readouterr()
+    assert "m0: " in out and err == ""
+    assert merges == []
+    assert counts.get("pdsflow.solver", 0) == 0
+    [(calls, transitions)] = reports
+    assert 0 < calls <= transitions

@@ -18,11 +18,13 @@ from pdsflow import (
     solve_least,
 )
 from pdsflow.algebra import INF
-from pdsflow.automaton import PRE, POST
+from pdsflow.automaton import PRE, POST, transition_key
 from pdsflow.errors import IterationLimitExceededError, MissingAssignmentError
 from pdsflow.saturation import Constraint
 
+from instances import instance
 from reference_solver import apply_F, iterate_to_fixpoint
+from test_reference_readout import tabulated_instance
 
 MP = minplus_algebra()
 
@@ -221,3 +223,22 @@ class TestProperties:
         sol = solve_least(result.constraints, alg)
         bound = len(alg.elements) * len(sol)
         assert sol.stats["changes"] <= bound
+
+
+@pytest.mark.parametrize("kind", ["killgen", "minplus", "bool", "tabulated"])
+def test_solution_iterates_in_transition_key_order(kind):
+    """A solution iterates, and lists its keys and items, in
+    ``transition_key`` order, whatever order its assignment was built in."""
+    for seed in range(30):
+        pds, aut_pre, aut_post = (tabulated_instance(seed) if kind == "tabulated"
+                                  else instance(seed, kind))
+        for aut in (aut_pre, aut_post):
+            result = (pre_star if aut.direction == PRE else post_star)(pds, aut)
+            sol = solve_least(result.constraints, pds.algebra)
+            order = sorted(result.automaton.transitions, key=transition_key)
+            assert list(sol) == order
+            assert list(sol.keys()) == order
+            assert list(sol.items()) == [(t, sol[t]) for t in order]
+            assert sol == Solution(pds.algebra, dict(sol))
+            backwards = Solution(pds.algebra, dict(list(sol.items())[::-1]))
+            assert list(backwards) == order and backwards == sol
