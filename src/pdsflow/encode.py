@@ -207,7 +207,6 @@ def load_icfg(text: str, source: str = "<icfg>") -> ICFG:
     procs: list = []  # (name, entry, exit, nodes, intra edges, call edges)
     nodes = edges = calls = None  # those of the most recent procedure
     bits: dict = {}  # fact list item -> the bit of its stripped name
-    masks: dict = {}  # fact list -> the mask of its items
 
     def fact_mask(text: str) -> int:
         mask = 0
@@ -216,7 +215,6 @@ def load_icfg(text: str, source: str = "<icfg>") -> ICFG:
             if bit is None:
                 bit = bits[item] = _mask((item.strip(),))
             mask |= bit
-        masks[text] = mask
         return mask
 
     for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
@@ -231,9 +229,8 @@ def load_icfg(text: str, source: str = "<icfg>") -> ICFG:
                 raise ParseError("edge appears before any proc", source, lineno)
             src, dst, kill, gen = m.groups()
             nodes[src] = nodes[dst] = None
-            kill = masks[kill] if kill in masks else fact_mask(kill)
-            gen = masks[gen] if gen in masks else fact_mask(gen)
-            edges.append(_new(IntraEdge, (src, dst, _new(KillGenElement, (kill, gen)))))
+            edges.append(_new(IntraEdge, (src, dst, _new(
+                KillGenElement, (fact_mask(kill), fact_mask(gen))))))
         elif keyword == "call":
             m = _CALL_RE.match(line)
             if not m:
