@@ -23,11 +23,9 @@ _EXPORTS = {
         ("encode", "CallEdge ICFG IntraEdge Procedure analysis_report encode_icfg "
                    "load_icfg render_report"),
         ("laws", "LawReport LawVerdict check_laws"),
-        ("oracle", "OracleReport PathQuery PathSetValue Run accepted_configs "
-                   "accepting_runs accepts build_delta_post2 build_delta_pre "
-                   "check_completeness check_soundness enumerate_paths "
-                   "join_over_paths path_weight predecessor_configs "
-                   "reachable_configs step transition_witness"),
+        ("oracle", "OracleReport Run accepted_configs accepting_runs accepts "
+                   "build_delta_post2 build_delta_pre check_completeness "
+                   "check_soundness path_weight step transition_witness"),
         ("pds", "Configuration PushdownSystem Rule load_pds mid_location "
                 "parse_config_text"),
         ("saturation", "Constraint SaturationResult TraceEntry post_star pre_star "

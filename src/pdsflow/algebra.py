@@ -207,10 +207,10 @@ def killgen_algebra(domain: Iterable[str]) -> DistributiveFlowAlgebra:
     dom = frozenset(domain)
     if not dom:
         raise EmptyDomainError("kill/gen domain must be nonempty")
-    for fact in dom:
+    ordered = sorted(dom)
+    for fact in ordered:
         if not IDENTIFIER_RE.match(fact):
             raise ValueError(f"invalid fact name {fact!r}")
-    ordered = sorted(dom)
     _intern(ordered)  # bits in name order, whatever the set's iteration order
 
     def combine(a: KillGenElement, b: KillGenElement) -> KillGenElement:

@@ -144,7 +144,7 @@ def load_automaton(
     source: str = "<automaton>",
 ) -> PAutomaton:
     """Parse the automaton format; initial states are the PDS locations."""
-    declared: set = set()
+    named: list = []  # the names on states and final lines, in file order
     finals: set = set()
     transitions: set = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -152,12 +152,12 @@ def load_automaton(
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "states":
-            declared.update(parts[1:])
-        elif parts[0] == "final":
-            if len(parts) < 2:
-                raise ParseError("final line needs at least one state", source, lineno)
-            finals.update(parts[1:])
+        if parts[0] in ("states", "final"):
+            named += parts[1:]
+            if parts[0] == "final":
+                if len(parts) < 2:
+                    raise ParseError("final line needs at least one state", source, lineno)
+                finals.update(parts[1:])
         elif parts[0] == "trans":
             if len(parts) != 4:
                 raise ParseError(
@@ -176,10 +176,10 @@ def load_automaton(
             transitions.add(Transition(src, label, dst))
         else:
             raise ParseError(f"unrecognized line: {line!r}", source, lineno)
-    for name in declared | finals:
+    for name in named:
         if not IDENTIFIER_RE.match(name):
             raise ParseError(f"invalid state name {name!r}", source)
-    aut = make_automaton(pds, transitions, finals, direction, extra_states=declared)
+    aut = make_automaton(pds, transitions, finals, direction, extra_states=named)
     validate_input_automaton(aut)
     return aut
 

@@ -1,21 +1,21 @@
 """Brute-force ground truth for reachability weights.
 
-Bounded breadth-first enumeration of rule sequences over a composite
-rule system, the join of their weights, and the executable forms of the
-soundness and completeness statements.  Both checks read one search
-plan: backward, one search per accepted configuration towards an empty
-stack at a final state; forward, one search per final state from its
-empty stack, collecting every accepted configuration it reaches.
-Deliberately shares no saturation or solving code with the engine.  The
-run enumeration, the step relation, the composite rule systems and the
-saturation witnesses that the checks and the tests rely on live here
-too, off the command path.
+The executable forms of the soundness and completeness statements.
+Both checks read one search plan, a bounded breadth-first enumeration
+of rule sequences over a composite rule system: backward, one search
+per accepted configuration towards an empty stack at a final state;
+forward, one search per final state from its empty stack, collecting
+every accepted configuration it reaches.  Deliberately shares no
+saturation or solving code with the engine.  The run enumeration, the
+step relation, the composite rule systems and the saturation witnesses
+that the checks and the tests rely on live here too, off the command
+path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import FlowAlgebra
 from .automaton import (
@@ -243,81 +243,6 @@ def transition_witness(result: SaturationResult, pds: PushdownSystem,
 # bounded path search
 
 
-@dataclass(frozen=True)
-class PathQuery:
-    """A bounded search for rule sequences from one source configuration.
-
-    The target is either any empty-stack configuration at a final state
-    or one exact configuration.  ``stack_bound`` limits intermediate
-    stack heights; the default never prunes anything reachable within
-    the depth bound, since a step grows the stack by at most one.
-    """
-
-    rules: tuple
-    source: Configuration
-    depth_bound: int
-    stack_bound: int
-    target_config: Optional[Configuration] = None
-    target_finals: Optional[frozenset] = None
-
-    def __post_init__(self):
-        if self.depth_bound < 1:
-            raise ValueError("depth_bound must be at least 1")
-        if self.stack_bound < len(self.source.stack):
-            raise ValueError("stack_bound below the source stack height")
-        if (self.target_config is None) == (self.target_finals is None):
-            raise ValueError("exactly one kind of target must be given")
-
-    @classmethod
-    def reaching_empty(cls, rules, source: Configuration, finals,
-                       depth_bound: int, stack_bound: Optional[int] = None):
-        return cls(
-            rules=tuple(rules),
-            source=source,
-            depth_bound=depth_bound,
-            stack_bound=cls._default_bound(source, depth_bound, stack_bound),
-            target_finals=frozenset(finals),
-        )
-
-    @classmethod
-    def reaching_config(cls, rules, source: Configuration,
-                        target: Configuration, depth_bound: int,
-                        stack_bound: Optional[int] = None):
-        return cls(
-            rules=tuple(rules),
-            source=source,
-            depth_bound=depth_bound,
-            stack_bound=cls._default_bound(source, depth_bound, stack_bound),
-            target_config=target,
-        )
-
-    @staticmethod
-    def _default_bound(source, depth_bound, stack_bound):
-        if stack_bound is not None:
-            return stack_bound
-        return len(source.stack) + 2 * depth_bound
-
-    def matches(self, c: Configuration) -> bool:
-        if self.target_config is not None:
-            return c == self.target_config
-        return not c.stack and c.loc in self.target_finals
-
-
-@dataclass(frozen=True)
-class PathSetValue:
-    """Join of the weights of the sequences a search found.
-
-    ``value`` is None when no sequence was found; an empty path set is
-    reported as such, never silently as the zero weight.  ``exhausted``
-    is True only when the whole search space within the stack bound was
-    explored below the depth bound.
-    """
-
-    value: Any
-    count: int
-    exhausted: bool
-
-
 def _walk_paths(rules, source: Configuration, depth_bound: int,
                 stack_bound: int, collect):
     """Breadth-first path walk; calls ``collect(sigma, config)`` on every
@@ -341,78 +266,6 @@ def _walk_paths(rules, source: Configuration, depth_bound: int,
     if frontier and any(step(rules, cfg) for _, cfg in frontier):
         truncated = True
     return not truncated
-
-
-def enumerate_paths(q: PathQuery) -> list:
-    """All rule sequences within bounds leading from source to target,
-    shortest first, lexicographic by rule position within a length."""
-    found = []
-
-    def collect(sigma, cfg):
-        if q.matches(cfg):
-            found.append(sigma)
-
-    _walk_paths(q.rules, q.source, q.depth_bound, q.stack_bound, collect)
-    return found
-
-
-def join_over_paths(alg: FlowAlgebra, q: PathQuery) -> PathSetValue:
-    """Join of path weights over every sequence the bounded search finds."""
-    total = None
-    count = 0
-
-    def collect(sigma, cfg):
-        nonlocal total, count
-        if q.matches(cfg):
-            w = path_weight(alg, sigma)
-            total = w if total is None else alg.combine(total, w)
-            count += 1
-
-    exhausted = _walk_paths(q.rules, q.source, q.depth_bound, q.stack_bound,
-                            collect)
-    return PathSetValue(value=total, count=count, exhausted=exhausted)
-
-
-def reachable_configs(rules, sources, *, depth_bound: int,
-                      stack_bound: int) -> set:
-    """Configurations reachable within the bounds (memoized, not paths)."""
-    seen = set(sources)
-    frontier = list(sources)
-    for _ in range(depth_bound):
-        nxt = []
-        for cfg in frontier:
-            for _, succ in step(rules, cfg):
-                if len(succ.stack) <= stack_bound and succ not in seen:
-                    seen.add(succ)
-                    nxt.append(succ)
-        frontier = nxt
-    return seen
-
-
-def predecessor_configs(rules, targets, *, depth_bound: int,
-                        stack_bound: int) -> set:
-    """Configurations that can reach a target within the bounds, found by
-    walking the step relation backwards."""
-    rules = list(rules)
-    seen = set(targets)
-    frontier = list(targets)
-    for _ in range(depth_bound):
-        nxt = []
-        for cfg in frontier:
-            for r in rules:
-                if r.to_loc != cfg.loc:
-                    continue
-                k = len(r.to_word)
-                if tuple(cfg.stack[:k]) != r.to_word:
-                    continue
-                rest = cfg.stack[k:]
-                head = (r.from_sym,) if r.from_sym is not None else ()
-                pred = Configuration(r.from_loc, head + rest)
-                if len(pred.stack) <= stack_bound and pred not in seen:
-                    seen.add(pred)
-                    nxt.append(pred)
-        frontier = nxt
-    return seen
 
 
 # ---------------------------------------------------------------------------

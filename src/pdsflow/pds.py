@@ -197,7 +197,7 @@ def load_pds(text: str, source: str = "<pds>") -> PushdownSystem:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("algebra"):
+        if line.split(None, 1)[0] == "algebra":
             if algebra is not None:
                 raise ParseError("duplicate algebra line", source, lineno)
             parts = line.split(None, 2)

@@ -74,8 +74,7 @@ def render_constraints(result: SaturationResult, alg: FlowAlgebra) -> str:
     return "\n".join(text for _, text in lines) + "\n"
 
 
-def _saturate(pds: PushdownSystem, aut: PAutomaton,
-              states: frozenset) -> SaturationResult:
+def _saturate(pds: PushdownSystem, aut: PAutomaton) -> SaturationResult:
     """The worklist fixpoint both directions share.
 
     Every transition, original or added, is popped once; popping it
@@ -94,6 +93,7 @@ def _saturate(pds: PushdownSystem, aut: PAutomaton,
     worklist: deque = deque()
     out: dict = {}  # src -> label -> popped transitions
     eps_into: dict = {}  # dst -> popped epsilon transitions
+    mids: set = set()  # forward: the mid state of every push rule
 
     def emit(t, before, w, after, rule=None) -> None:
         """Record before (x) w (x) after <= t, and add t if it is new."""
@@ -142,6 +142,8 @@ def _saturate(pds: PushdownSystem, aut: PAutomaton,
         by_lhs: dict = {}  # (from_loc, from_sym) -> rules
         for r in pds.rules:
             by_lhs.setdefault((r.from_loc, r.from_sym), []).append(r)
+            if len(r.to_word) == 2:
+                mids.add(mid_location(r.to_loc, r.to_word[0]))
 
         def apply(r: Rule, q: str, path: tuple) -> None:
             if len(r.to_word) == 2:
@@ -174,7 +176,7 @@ def _saturate(pds: PushdownSystem, aut: PAutomaton,
         fire(t)
 
     saturated = PAutomaton(
-        states=states,
+        states=aut.states | mids,
         alphabet=aut.alphabet,
         transitions=frozenset(transitions),
         initials=aut.initials,
@@ -206,7 +208,7 @@ def pre_star(pds: PushdownSystem, aut: PAutomaton) -> SaturationResult:
     """
     if aut.direction != PRE:
         raise InvalidInputAutomatonError("pre_star needs a Pre-direction automaton")
-    return _saturate(pds, aut, aut.states)
+    return _saturate(pds, aut)
 
 
 def post_star(pds: PushdownSystem, aut: PAutomaton) -> SaturationResult:
@@ -225,6 +227,4 @@ def post_star(pds: PushdownSystem, aut: PAutomaton) -> SaturationResult:
     """
     if aut.direction != POST:
         raise InvalidInputAutomatonError("post_star needs a Post-direction automaton")
-    mids = {mid_location(r.to_loc, r.to_word[0])
-            for r in pds.rules if len(r.to_word) == 2}
-    return _saturate(pds, aut, aut.states | mids)
+    return _saturate(pds, aut)

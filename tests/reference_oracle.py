@@ -1,32 +1,185 @@
 """Brute-force helpers that only the tests use, kept out of the package.
 
+The bounded path search: ``PathQuery`` names a source configuration, a
+target and the bounds; ``enumerate_paths`` lists the rule sequences it
+finds and ``join_over_paths`` joins their weights into a
+``PathSetValue``; ``reachable_configs`` and ``predecessor_configs``
+collect the configurations within the bounds forwards and backwards.
 ``build_delta_post`` is the unsplit forward composite rule system, whose
 depth bounds count pushdown steps; ``enumerate_paths_depth_first``
-cross-checks the oracle's breadth-first enumeration.  ``check_soundness``
+cross-checks the breadth-first enumeration.  ``check_soundness``
 and ``check_completeness`` are the oracle's checks as they were before
 both read one search plan, kept verbatim as the reference the new ones
 must agree with: soundness inlines its own path enumeration, and forward
 completeness runs one search per (accepted configuration, final state).
 """
 
+from dataclasses import dataclass
+from typing import Any, Optional
+
+from pdsflow.algebra import FlowAlgebra
 from pdsflow.automaton import PRE, query, transition_key
 from pdsflow.errors import PreconditionNotMetError
 from pdsflow.laws import check_laws
 from pdsflow.oracle import (
     OracleReport,
     OracleViolation,
-    PathQuery,
-    PathSetValue,
     _walk_paths,
     accepted_configs,
     build_delta_post2,
     build_delta_pre,
-    join_over_paths,
     path_weight,
     step,
 )
 from pdsflow.pds import Configuration, PushdownSystem, Rule
 from pdsflow.saturation import SaturationResult
+
+
+@dataclass(frozen=True)
+class PathQuery:
+    """A bounded search for rule sequences from one source configuration.
+
+    The target is either any empty-stack configuration at a final state
+    or one exact configuration.  ``stack_bound`` limits intermediate
+    stack heights; the default never prunes anything reachable within
+    the depth bound, since a step grows the stack by at most one.
+    """
+
+    rules: tuple
+    source: Configuration
+    depth_bound: int
+    stack_bound: int
+    target_config: Optional[Configuration] = None
+    target_finals: Optional[frozenset] = None
+
+    def __post_init__(self):
+        if self.depth_bound < 1:
+            raise ValueError("depth_bound must be at least 1")
+        if self.stack_bound < len(self.source.stack):
+            raise ValueError("stack_bound below the source stack height")
+        if (self.target_config is None) == (self.target_finals is None):
+            raise ValueError("exactly one kind of target must be given")
+
+    @classmethod
+    def reaching_empty(cls, rules, source: Configuration, finals,
+                       depth_bound: int, stack_bound: Optional[int] = None):
+        return cls(
+            rules=tuple(rules),
+            source=source,
+            depth_bound=depth_bound,
+            stack_bound=cls._default_bound(source, depth_bound, stack_bound),
+            target_finals=frozenset(finals),
+        )
+
+    @classmethod
+    def reaching_config(cls, rules, source: Configuration,
+                        target: Configuration, depth_bound: int,
+                        stack_bound: Optional[int] = None):
+        return cls(
+            rules=tuple(rules),
+            source=source,
+            depth_bound=depth_bound,
+            stack_bound=cls._default_bound(source, depth_bound, stack_bound),
+            target_config=target,
+        )
+
+    @staticmethod
+    def _default_bound(source, depth_bound, stack_bound):
+        if stack_bound is not None:
+            return stack_bound
+        return len(source.stack) + 2 * depth_bound
+
+    def matches(self, c: Configuration) -> bool:
+        if self.target_config is not None:
+            return c == self.target_config
+        return not c.stack and c.loc in self.target_finals
+
+
+@dataclass(frozen=True)
+class PathSetValue:
+    """Join of the weights of the sequences a search found.
+
+    ``value`` is None when no sequence was found; an empty path set is
+    reported as such, never silently as the zero weight.  ``exhausted``
+    is True only when the whole search space within the stack bound was
+    explored below the depth bound.
+    """
+
+    value: Any
+    count: int
+    exhausted: bool
+
+
+def enumerate_paths(q: PathQuery) -> list:
+    """All rule sequences within bounds leading from source to target,
+    shortest first, lexicographic by rule position within a length."""
+    found = []
+
+    def collect(sigma, cfg):
+        if q.matches(cfg):
+            found.append(sigma)
+
+    _walk_paths(q.rules, q.source, q.depth_bound, q.stack_bound, collect)
+    return found
+
+
+def join_over_paths(alg: FlowAlgebra, q: PathQuery) -> PathSetValue:
+    """Join of path weights over every sequence the bounded search finds."""
+    total = None
+    count = 0
+
+    def collect(sigma, cfg):
+        nonlocal total, count
+        if q.matches(cfg):
+            w = path_weight(alg, sigma)
+            total = w if total is None else alg.combine(total, w)
+            count += 1
+
+    exhausted = _walk_paths(q.rules, q.source, q.depth_bound, q.stack_bound,
+                            collect)
+    return PathSetValue(value=total, count=count, exhausted=exhausted)
+
+
+def reachable_configs(rules, sources, *, depth_bound: int,
+                      stack_bound: int) -> set:
+    """Configurations reachable within the bounds (memoized, not paths)."""
+    seen = set(sources)
+    frontier = list(sources)
+    for _ in range(depth_bound):
+        nxt = []
+        for cfg in frontier:
+            for _, succ in step(rules, cfg):
+                if len(succ.stack) <= stack_bound and succ not in seen:
+                    seen.add(succ)
+                    nxt.append(succ)
+        frontier = nxt
+    return seen
+
+
+def predecessor_configs(rules, targets, *, depth_bound: int,
+                        stack_bound: int) -> set:
+    """Configurations that can reach a target within the bounds, found by
+    walking the step relation backwards."""
+    rules = list(rules)
+    seen = set(targets)
+    frontier = list(targets)
+    for _ in range(depth_bound):
+        nxt = []
+        for cfg in frontier:
+            for r in rules:
+                if r.to_loc != cfg.loc:
+                    continue
+                k = len(r.to_word)
+                if tuple(cfg.stack[:k]) != r.to_word:
+                    continue
+                rest = cfg.stack[k:]
+                head = (r.from_sym,) if r.from_sym is not None else ()
+                pred = Configuration(r.from_loc, head + rest)
+                if len(pred.stack) <= stack_bound and pred not in seen:
+                    seen.add(pred)
+                    nxt.append(pred)
+        frontier = nxt
+    return seen
 
 
 def build_delta_post(pds: PushdownSystem, aut) -> list:

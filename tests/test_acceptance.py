@@ -25,7 +25,6 @@ from pdsflow import (
     check_soundness,
     check_laws,
     encode_icfg,
-    join_over_paths,
     killgen_algebra,
     load_icfg,
     load_pds,
@@ -33,9 +32,7 @@ from pdsflow import (
     minplus_algebra,
     post_star,
     pre_star,
-    predecessor_configs,
     query,
-    reachable_configs,
     solve_least,
     step,
     transition_witness,
@@ -43,11 +40,16 @@ from pdsflow import (
 from pdsflow.automaton import POST, PRE
 from pdsflow.cli import main as cli_main, single_config_automaton
 from pdsflow.encode import CONTROL_LOCATION
-from pdsflow.oracle import PathQuery
 from pdsflow.solver import eval_lhs
 
 from instances import instance
-from reference_oracle import build_delta_post
+from reference_oracle import (
+    PathQuery,
+    build_delta_post,
+    join_over_paths,
+    predecessor_configs,
+    reachable_configs,
+)
 from reference_readout import read_weight_post
 from reference_solver import apply_F, iterate_to_fixpoint
 

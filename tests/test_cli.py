@@ -191,6 +191,16 @@ class TestSaturate:
         assert code == 2
         assert f"{bad}:2" in err
 
+    def test_misspelled_algebra_keyword_is_rejected(self, capsys, tmp_path):
+        bad = tmp_path / "bad.pds"
+        bad.write_text("algebrax bool\nrule <p, a> -> <p, eps> weight 1\n")
+        code, out, err = run(
+            capsys, "prestar", "--pds", str(bad), "--automaton", AUT_PRE,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}:1: unrecognized line: 'algebrax bool'\n"
+
 
 class TestOracle:
     def test_soundness_report(self, capsys):
@@ -374,3 +384,26 @@ def test_output_does_not_depend_on_hash_seed(tmp_path):
         outputs.append((done.stdout, constraints.read_text()))
     assert outputs[0] == outputs[1]
     assert outputs[0][0].count("kill=") > 50
+
+
+def test_error_texts_do_not_depend_on_hash_seed(tmp_path):
+    """An invalid automaton state name and an invalid kill/gen fact name
+    are each reported as the same one under every hash seed: the first
+    state name in file order, the first fact name in sorted order."""
+    aut = tmp_path / "bad.aut"
+    aut.write_text("states x-1 y-2 z-3 w-4\nfinal q_f\ntrans p end q_f\n")
+    script = ("import sys\nfrom pdsflow import killgen_algebra\n"
+              "from pdsflow.cli import main\n"
+              "main(['prestar', '--pds', sys.argv[1], '--automaton', sys.argv[2]])\n"
+              "try:\n    killgen_algebra(['d-4', 'c-3', 'b-2', 'a-1'])\n"
+              "except ValueError as exc:\n    print(exc, file=sys.stderr)\n")
+    errors = set()
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(Path(pdsflow.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script, PDS, str(aut)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        errors.add(done.stderr)
+    assert errors == {"error: invalid state name 'x-1'\n"
+                      "invalid fact name 'a-1'\n"}

@@ -5,21 +5,16 @@ import pytest
 from pdsflow import (
     Configuration,
     FlowAlgebra,
-    PathQuery,
     Transition,
     build_delta_pre,
     build_delta_post2,
     check_completeness,
     check_soundness,
-    enumerate_paths,
-    join_over_paths,
     load_pds,
     make_automaton,
     minplus_algebra,
-    predecessor_configs,
     pre_star,
     post_star,
-    reachable_configs,
     solve_least,
 )
 from pdsflow.automaton import PRE, POST
@@ -27,7 +22,14 @@ from pdsflow.errors import PreconditionNotMetError
 from pdsflow.solver import Solution
 
 from instances import instance
-from reference_oracle import enumerate_paths_depth_first
+from reference_oracle import (
+    PathQuery,
+    enumerate_paths,
+    enumerate_paths_depth_first,
+    join_over_paths,
+    predecessor_configs,
+    reachable_configs,
+)
 
 MP = minplus_algebra()
 
