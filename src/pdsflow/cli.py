@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 
 from .automaton import (
@@ -255,11 +256,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command and return its exit code, argparse's on a usage error."""
+    """Run one command and return its exit code, argparse's on a usage error.
+
+    The cyclic garbage collector is paused while the command runs: the
+    pipeline builds acyclic records, which reference counting frees, and
+    the process is the command's.  It is enabled again afterwards only if
+    it was enabled on entry."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except IterationLimitExceededError as exc:
@@ -272,6 +280,9 @@ def main(argv=None) -> int:
         print(f"error: internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -52,15 +52,14 @@ class ICFG(Record):
     def __init__(self, domain: frozenset, procedures: tuple,
                  intra_edges: tuple, call_edges: tuple, main: str):
         self._assign(domain, procedures, intra_edges, call_edges, main)
-        validate_icfg(self)
-        object.__setattr__(self, "nodes", tuple(sorted(
-            {n for p in procedures for n in p.nodes})))
+        object.__setattr__(self, "nodes", tuple(sorted(validate_icfg(self))))
 
 
-def validate_icfg(g: ICFG) -> None:
+def validate_icfg(g: ICFG) -> dict:
     """Collect every invariant violation and raise them together, in a
     fixed order: duplicate names, node conflicts (in file order), each
-    edge's endpoints, crossing and unknown facts (by name), calls, main."""
+    edge's endpoints, crossing and unknown facts (by name), calls, main.
+    A valid graph returns the map from each node to its procedure."""
     problems = []
     proc_names = [p.name for p in g.procedures]
     if len(set(proc_names)) != len(proc_names):
@@ -99,6 +98,7 @@ def validate_icfg(g: ICFG) -> None:
         problems.append(f"main procedure {g.main} is not defined")
     if problems:
         raise ValidationError(problems)
+    return owner
 
 
 def encode_icfg(g: ICFG) -> PushdownSystem:
@@ -133,14 +133,17 @@ def analysis_report(g: ICFG, sol, aut: PAutomaton) -> dict:
     when no accepted configuration has it on top.  A node joins
     ``start (x) l(t) (x) rest[t.dst]`` over the first transitions ``t``
     reading it, as ``query`` multiplies; ``rest[q]`` joins the labeled
-    runs from ``q`` to a final state."""
+    runs from ``q`` to a final state.  One pass over the transitions
+    files them by state, in no ``transition_key`` order: ``combine`` is
+    a join, so the order in which values meet does not change them."""
     alg = sol.algebra
     step = then(aut, alg)
-    into: dict = {}  # dst -> labeled transitions, in transition_key order
-    for src in sorted({t.src for t in aut.transitions}):
-        for t in aut.outgoing(src):
-            if t.label is not None:
-                into.setdefault(t.dst, []).append(t)
+    into: dict = {}  # dst -> the labeled transitions into it
+    out: dict = {}  # src -> the transitions out of it
+    for t in aut.transitions:
+        out.setdefault(t.src, []).append(t)
+        if t.label is not None:
+            into.setdefault(t.dst, []).append(t)
     rest = {q: alg.one for q in sorted(aut.finals)}
     todo = OrderedDict.fromkeys(rest)  # a FIFO queue that holds a state once
     while todo:
@@ -159,7 +162,7 @@ def analysis_report(g: ICFG, sol, aut: PAutomaton) -> dict:
     table: dict = dict.fromkeys(g.nodes)
     for p in sorted(aut.initials):
         for q, start in readout_start(aut, sol, p):
-            for t in aut.outgoing(q):
+            for t in out.get(q, ()):
                 if t.label not in table or t.dst not in rest:
                     continue
                 value = step(sol.value(t), rest[t.dst])
@@ -198,6 +201,15 @@ _PROC_RE = re.compile(
 )
 
 
+class _Bits(dict):
+    """A per-load cache from fact list item to the bit of its stripped
+    name, which fills itself on a miss."""
+
+    def __missing__(self, item: str) -> int:
+        bit = self[item] = _mask((item.strip(),))
+        return bit
+
+
 def load_icfg(text: str, source: str = "<icfg>") -> ICFG:
     """Parse the graph format; edge and call lines attach to the most
     recently declared procedure, and each edge's fact lists become its
@@ -206,17 +218,7 @@ def load_icfg(text: str, source: str = "<icfg>") -> ICFG:
     main: Optional[str] = None
     procs: list = []  # (name, entry, exit, nodes, intra edges, call edges)
     nodes = edges = calls = None  # those of the most recent procedure
-    bits: dict = {}  # fact list item -> the bit of its stripped name
-
-    def fact_mask(text: str) -> int:
-        mask = 0
-        for item in text.split(",") if text.strip() else ():
-            bit = bits.get(item)
-            if bit is None:
-                bit = bits[item] = _mask((item.strip(),))
-            mask |= bit
-        return mask
-
+    bits = _Bits()  # fact list item -> the bit of its stripped name
     for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
         if not line or line[0] == "#":
             continue
@@ -229,8 +231,15 @@ def load_icfg(text: str, source: str = "<icfg>") -> ICFG:
                 raise ParseError("edge appears before any proc", source, lineno)
             src, dst, kill, gen = m.groups()
             nodes[src] = nodes[dst] = None
+            kill_mask = gen_mask = 0  # a blank list is the empty set
+            if kill.strip():
+                for item in kill.split(","):
+                    kill_mask |= bits[item]
+            if gen.strip():
+                for item in gen.split(","):
+                    gen_mask |= bits[item]
             edges.append(_new(IntraEdge, (src, dst, _new(
-                KillGenElement, (fact_mask(kill), fact_mask(gen))))))
+                KillGenElement, (kill_mask, gen_mask)))))
         elif keyword == "call":
             m = _CALL_RE.match(line)
             if not m:
@@ -255,8 +264,7 @@ def load_icfg(text: str, source: str = "<icfg>") -> ICFG:
             if not facts:
                 raise ParseError("domain must be nonempty", source, lineno)
             domain = ([f.strip() for f in facts.split(",")], lineno)
-        elif keyword == "main":
-            parts = line.split()
+        elif keyword == "main" and (parts := line.split())[0] == "main":  # not "mainframe"
             if len(parts) != 2:
                 raise ParseError("bad main line", source, lineno)
             main = parts[1]

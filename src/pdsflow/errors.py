@@ -8,14 +8,16 @@ class PdsflowError(Exception):
 class ParseError(PdsflowError):
     """A text input (PDS, automaton, ICFG, weight literal) is malformed.
 
-    Carries the source name and 1-based line number when known.
+    Carries the source name and 1-based line number when known; the
+    text starts ``source:line: `` or, with no line, ``source: ``.
     """
 
     def __init__(self, message, source=None, line=None):
         self.source = source
         self.line = line
-        if source is not None and line is not None:
-            message = f"{source}:{line}: {message}"
+        if source is not None:
+            message = (f"{source}: {message}" if line is None
+                       else f"{source}:{line}: {message}")
         super().__init__(message)
 
 

@@ -191,6 +191,15 @@ class TestSaturate:
         assert code == 2
         assert f"{bad}:2" in err
 
+    def test_error_after_the_last_line_names_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.pds"
+        bad.write_text("# a system with no algebra line\n")
+        code, out, err = run(
+            capsys, "prestar", "--pds", str(bad), "--automaton", AUT_PRE,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: missing algebra line\n"
+
     def test_misspelled_algebra_keyword_is_rejected(self, capsys, tmp_path):
         bad = tmp_path / "bad.pds"
         bad.write_text("algebrax bool\nrule <p, a> -> <p, eps> weight 1\n")
@@ -278,6 +287,26 @@ class TestAnalyze:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    def test_missing_domain_line_names_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.icfg"
+        bad.write_text("proc P0 entry a exit b\nedge a -> b kill={} gen={}\nmain P0\n")
+        code, out, err = run(
+            capsys, "analyze", "--icfg", str(bad), "--init-config", "<p: a>",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: missing domain line\n"
+
+    def test_main_keyword_is_a_whole_word(self, capsys, tmp_path):
+        """``mainframe P0`` is no main line, though it starts with one."""
+        bad = tmp_path / "bad.icfg"
+        bad.write_text("domain {a}\nproc P0 entry x exit y\n"
+                       "edge x -> y kill={} gen={a}\nmainframe P0\n")
+        code, out, err = run(
+            capsys, "analyze", "--icfg", str(bad), "--init-config", "<p: x>",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}:4: unrecognized line: 'mainframe P0'\n"
 
     def test_unknown_init_node_rejected(self, capsys):
         code, _, _ = run(
@@ -405,5 +434,5 @@ def test_error_texts_do_not_depend_on_hash_seed(tmp_path):
                               env=env, capture_output=True, text=True,
                               timeout=120)
         errors.add(done.stderr)
-    assert errors == {"error: invalid state name 'x-1'\n"
+    assert errors == {f"error: {aut}: invalid state name 'x-1'\n"
                       "invalid fact name 'a-1'\n"}

@@ -6,16 +6,19 @@ ends.  Errors must be of the same type, with the same ``ParseError``
 text and the same ``ValidationError`` problems (compared sorted, since
 the reference lists them in string-hash order).  An accepted graph must
 encode to the same rule text and analyze to the same report both ways.
-The one deliberate difference: a domain fact that is not an identifier
-is a ``ParseError`` at the domain line, where the reference let
-``killgen_algebra`` raise ``ValueError`` (or reported the graph's other
-problems first).  Every mutant also goes through ``cli.main analyze``:
+There are two deliberate differences.  A domain fact that is not an
+identifier is a ``ParseError`` at the domain line, where the reference
+let ``killgen_algebra`` raise ``ValueError`` (or reported the graph's
+other problems first).  A line whose first word starts with ``main`` but
+is not ``main``, such as ``mainframe P0``, is an unrecognized line, where
+the reference read it as a main line.  Every mutant also goes through ``cli.main analyze``:
 no exception may escape, an accepted graph prints the reference's report
 (or exits 2 when its start node is in no rule), and a rejected one exits
 2 with the expected error.
 """
 
 import random
+import re
 import types
 from pathlib import Path
 
@@ -117,6 +120,16 @@ def bad_domain_fact(text):
     return found
 
 
+def misread_main(text):
+    """(line, text) of the first line whose first word starts with
+    ``main`` but is not ``main``, or None."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        words = line.split()
+        if words and words[0] != "main" and words[0].startswith("main"):
+            return lineno, line.strip()
+    return None
+
+
 def outcome(load, encode_fn, text, source=SOURCE):
     try:
         g = load(text, source)
@@ -131,6 +144,13 @@ def outcome(load, encode_fn, text, source=SOURCE):
 
 def expected_outcome(text, source=SOURCE):
     kind, value, pds = outcome(reference.load_icfg, reference.encode_icfg, text, source)
+    misread = misread_main(text)
+    if misread is not None:
+        lineno, line = misread
+        earlier = kind == "ParseError" and re.match(
+            rf"{re.escape(source)}:(\d+): ", value)
+        if not (earlier and int(earlier.group(1)) < lineno):
+            return "ParseError", f"{source}:{lineno}: unrecognized line: {line!r}", None
     bad = bad_domain_fact(text)
     if kind in ("ValidationError", "ValueError") and bad is not None:
         lineno, fact = bad
