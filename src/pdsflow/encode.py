@@ -145,12 +145,14 @@ def analysis_report(g: ICFG, sol, aut: PAutomaton) -> dict:
         if t.label is not None:
             into.setdefault(t.dst, []).append(t)
     rest = {q: alg.one for q in sorted(aut.finals)}
+    reads: dict = {}  # t -> l(t) (x) rest[t.dst], as of t.dst's last visit
     todo = OrderedDict.fromkeys(rest)  # a FIFO queue that holds a state once
     while todo:
         q, _ = todo.popitem(last=False)
+        after = rest[q]
         joined: dict = {}  # src -> join over the transitions into q
         for t in into.get(q, ()):
-            value = step(sol.value(t), rest[q])
+            value = reads[t] = step(sol.value(t), after)
             joined[t.src] = alg.combine(joined[t.src], value) if t.src in joined else value
         for src, value in joined.items():
             old = rest.get(src)
@@ -163,9 +165,9 @@ def analysis_report(g: ICFG, sol, aut: PAutomaton) -> dict:
     for p in sorted(aut.initials):
         for q, start in readout_start(aut, sol, p):
             for t in out.get(q, ()):
-                if t.label not in table or t.dst not in rest:
+                value = reads.get(t)  # final: a state whose rest grows is revisited
+                if value is None or t.label not in table:
                     continue
-                value = step(sol.value(t), rest[t.dst])
                 if q != p:  # after an epsilon step; the empty run weighs one
                     value = step(start, value)
                 old = table[t.label]
