@@ -266,7 +266,7 @@ def load_icfg(text: str, source: str = "<icfg>") -> ICFG:
             if not facts:
                 raise ParseError("domain must be nonempty", source, lineno)
             domain = ([f.strip() for f in facts.split(",")], lineno)
-        elif keyword == "main" and (parts := line.split())[0] == "main":  # not "mainframe"
+        elif keyword == "main" and (parts := line.split())[0] == "main":  # not mainframe
             if len(parts) != 2:
                 raise ParseError("bad main line", source, lineno)
             main = parts[1]

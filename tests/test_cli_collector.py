@@ -61,8 +61,8 @@ def test_collector_state_is_restored(collector, monkeypatch, capsys,
     caller that had disabled it finds it still disabled."""
     seen = []  # the collector's state while the graph is read
     load_icfg = crash if fault else encode.load_icfg
-    monkeypatch.setattr(encode, "load_icfg",
-                        lambda *a, **k: seen.append(gc.isenabled()) or load_icfg(*a, **k))
+    monkeypatch.setattr(encode, "load_icfg", lambda *a, **k: (
+        seen.append(gc.isenabled()) or load_icfg(*a, **k)))
     (gc.enable if enabled else gc.disable)()
     assert main(argv) == code
     capsys.readouterr()

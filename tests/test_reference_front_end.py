@@ -11,10 +11,10 @@ identifier is a ``ParseError`` at the domain line, where the reference
 let ``killgen_algebra`` raise ``ValueError`` (or reported the graph's
 other problems first).  A line whose first word starts with ``main`` but
 is not ``main``, such as ``mainframe P0``, is an unrecognized line, where
-the reference read it as a main line.  Every mutant also goes through ``cli.main analyze``:
-no exception may escape, an accepted graph prints the reference's report
-(or exits 2 when its start node is in no rule), and a rejected one exits
-2 with the expected error.
+the reference read it as a main line.  Every mutant also goes through
+``cli.main analyze``: no exception may escape, an accepted graph prints
+the reference's report (or exits 2 when its start node is in no rule),
+and a rejected one exits 2 with the expected error.
 """
 
 import random

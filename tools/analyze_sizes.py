@@ -42,10 +42,10 @@ with open(out, "w", encoding="utf-8") as handle, contextlib.redirect_stdout(hand
 after = [s["collections"] for s in gc.get_stats()]
 with open(out, "rb") as handle:
     digest = hashlib.md5(handle.read()).hexdigest()
+rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"ms": ms, "exit": code,
                   "gc_collections": [b - a for a, b in zip(before, after)],
-                  "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-                  "output_md5": digest}))
+                  "peak_rss_mib": rss_mib, "output_md5": digest}))
 """
 
 
