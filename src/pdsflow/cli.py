@@ -65,15 +65,22 @@ def _write(path, text: str) -> None:
             handle.write(text)
 
 
-def _load_inputs(args, direction: str):
+def _load_inputs(args):
     pds = load_pds(_read(args.pds), source=args.pds)
-    aut = load_automaton(_read(args.automaton), pds, direction,
+    aut = load_automaton(_read(args.automaton), pds, args.direction,
                          source=args.automaton)
     return pds, aut
 
 
 def _saturate(pds, aut):
     return pre_star(pds, aut) if aut.direction == PRE else post_star(pds, aut)
+
+
+def _solve(pds, aut, max_steps: int = 1_000_000):
+    """Saturate, then solve the constraints: ``(result, solution)``."""
+    result = _saturate(pds, aut)
+    config = SolverConfig(max_applications=max_steps)
+    return result, solve_least(result.constraints, pds.algebra, config)
 
 
 def _parse_config(text: str, locations, alphabet) -> Configuration:
@@ -105,8 +112,8 @@ def single_config_automaton(pds, c: Configuration, direction: str) -> PAutomaton
     return aut
 
 
-def _cmd_saturate(args, direction: str) -> int:
-    pds, aut = _load_inputs(args, direction)
+def _cmd_saturate(args) -> int:
+    pds, aut = _load_inputs(args)
     result = _saturate(pds, aut)
     _write(args.out, result.automaton.text())
     _write(args.constraints, render_constraints(result, pds.algebra))
@@ -114,20 +121,16 @@ def _cmd_saturate(args, direction: str) -> int:
 
 
 def _cmd_solve(args) -> int:
-    pds, aut = _load_inputs(args, args.direction)
-    result = _saturate(pds, aut)
-    config = SolverConfig(max_applications=args.max_steps)
-    sol = solve_least(result.constraints, pds.algebra, config)
+    pds, aut = _load_inputs(args)
+    _, sol = _solve(pds, aut, args.max_steps)
     _write(args.out, sol.text())
     return EXIT_OK
 
 
 def _cmd_query(args) -> int:
-    pds, aut = _load_inputs(args, args.direction)
+    pds, aut = _load_inputs(args)
     c = _parse_config(args.config, pds.locations, aut.alphabet)
-    result = _saturate(pds, aut)
-    config = SolverConfig(max_applications=args.max_steps)
-    sol = solve_least(result.constraints, pds.algebra, config)
+    result, sol = _solve(pds, aut, args.max_steps)
     try:
         value = query(result.automaton, sol, c)
     except (NotAcceptedError, UnknownLocationError):
@@ -140,9 +143,8 @@ def _cmd_query(args) -> int:
 def _cmd_oracle(args) -> int:
     from .oracle import check_completeness, check_soundness
 
-    pds, aut = _load_inputs(args, args.direction)
-    result = _saturate(pds, aut)
-    sol = solve_least(result.constraints, pds.algebra)
+    pds, aut = _load_inputs(args)
+    result, sol = _solve(pds, aut)
     kwargs = dict(depth_bound=args.depth, config_stack_bound=args.stack)
     if args.mode == "soundness":
         report = check_soundness(pds, result, sol, **kwargs)
@@ -164,25 +166,13 @@ def _cmd_check_algebra(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from .encode import (
-        CONTROL_LOCATION,
-        analysis_report,
-        encode_icfg,
-        load_icfg,
-        render_report,
-    )
+    from .encode import analysis_report, encode_icfg, load_icfg, render_report
 
     g = load_icfg(_read(args.icfg), source=args.icfg)
     pds = encode_icfg(g)
     c = _parse_config(args.init_config, pds.locations, g.nodes)
-    if c.loc != CONTROL_LOCATION:
-        raise ParseError(
-            f"encoded systems use the single control location "
-            f"{CONTROL_LOCATION!r}"
-        )
     aut = single_config_automaton(pds, c, args.direction)
-    result = _saturate(pds, aut)
-    sol = solve_least(result.constraints, pds.algebra)
+    result, sol = _solve(pds, aut)
     table = analysis_report(g, sol, result.automaton)
     sys.stdout.write(render_report(g, table, pds.algebra))
     return EXIT_OK
@@ -202,35 +192,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weighted pushdown reachability with pluggable weight domains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--pds", required=True)
+    inputs.add_argument("--automaton", required=True)
+    directed = argparse.ArgumentParser(add_help=False, parents=[inputs])
+    directed.add_argument("--direction", choices=(PRE, POST), required=True)
 
     for name, direction in (("prestar", PRE), ("poststar", POST)):
-        p = sub.add_parser(name, help=f"saturate in the {direction} direction")
-        p.add_argument("--pds", required=True)
-        p.add_argument("--automaton", required=True)
+        p = sub.add_parser(name, parents=[inputs],
+                           help=f"saturate in the {direction} direction")
         p.add_argument("--out", default=None)
         p.add_argument("--constraints", default=None)
-        p.set_defaults(func=lambda a, d=direction: _cmd_saturate(a, d))
+        p.set_defaults(func=_cmd_saturate, direction=direction)
 
-    p = sub.add_parser("solve", help="saturate and solve the constraints")
-    p.add_argument("--pds", required=True)
-    p.add_argument("--automaton", required=True)
-    p.add_argument("--direction", choices=(PRE, POST), required=True)
+    p = sub.add_parser("solve", parents=[directed],
+                       help="saturate and solve the constraints")
     p.add_argument("--max-steps", type=_at_least(1), default=1_000_000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("query", help="weight of one configuration")
-    p.add_argument("--pds", required=True)
-    p.add_argument("--automaton", required=True)
-    p.add_argument("--direction", choices=(PRE, POST), required=True)
+    p = sub.add_parser("query", parents=[directed],
+                       help="weight of one configuration")
     p.add_argument("--config", required=True)
     p.add_argument("--max-steps", type=_at_least(1), default=1_000_000)
     p.set_defaults(func=_cmd_query)
 
-    p = sub.add_parser("oracle", help="brute-force check of the results")
-    p.add_argument("--pds", required=True)
-    p.add_argument("--automaton", required=True)
-    p.add_argument("--direction", choices=(PRE, POST), required=True)
+    p = sub.add_parser("oracle", parents=[directed],
+                       help="brute-force check of the results")
     p.add_argument("--mode", choices=("soundness", "completeness"), required=True)
     p.add_argument("--depth", type=_at_least(1), default=12)
     p.add_argument("--stack", type=_at_least(0), default=4)

@@ -114,15 +114,13 @@ def _saturate(pds: PushdownSystem, aut: PAutomaton) -> SaturationResult:
 
     if aut.direction == PRE:
         first: dict = {}  # (to_loc, to_word[0]) -> swap and push rules
-        second: dict = {}  # to_word[1] -> push rules
+        halves: dict = {}  # (q', g2) -> half-applied (push rule, p' -g1-> q')
         for r in pds.rules:
             if not r.to_word:
                 emit(_new(Transition, (r.from_loc, r.from_sym, r.to_loc)),
                      (), r.weight, (), r)
                 continue
             first.setdefault((r.to_loc, r.to_word[0]), []).append(r)
-            if len(r.to_word) == 2:
-                second.setdefault(r.to_word[1], []).append(r)
 
         def fire(t: Transition) -> None:
             for r in first.get((t.src, t.label), ()):
@@ -130,14 +128,13 @@ def _saturate(pds: PushdownSystem, aut: PAutomaton) -> SaturationResult:
                     emit(_new(Transition, (r.from_loc, r.from_sym, t.dst)),
                          (), r.weight, (t,), r)
                     continue
+                halves.setdefault((t.dst, r.to_word[1]), []).append((r, t))
                 for t2 in popped(t.dst, r.to_word[1]):
                     emit(_new(Transition, (r.from_loc, r.from_sym, t2.dst)),
                          (), r.weight, (t, t2), r)
-            for r in second.get(t.label, ()):
-                for t1 in popped(r.to_loc, r.to_word[0]):
-                    if t1.dst == t.src:
-                        emit(_new(Transition, (r.from_loc, r.from_sym, t.dst)),
-                             (), r.weight, (t1, t), r)
+            for r, t1 in halves.get((t.src, t.label), ()):
+                emit(_new(Transition, (r.from_loc, r.from_sym, t.dst)),
+                     (), r.weight, (t1, t), r)
     else:
         by_lhs: dict = {}  # (from_loc, from_sym) -> rules
         for r in pds.rules:

@@ -352,6 +352,17 @@ def test_help_returns_zero(capsys):
     assert out.startswith("usage: pdsflow")
 
 
+def test_help_and_usage_errors_match_fixture(capsys, monkeypatch):
+    """``--help`` for ``pdsflow`` and each subcommand, and the usage
+    errors of ``solve`` and ``query`` without their required options,
+    print exactly the recorded text at an 80-column terminal."""
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = json.loads((FIXTURES / "cli_usage.json").read_text())
+    assert len(cases) == 13
+    for case in cases:
+        assert run(capsys, *case["argv"]) == (case["code"], case["out"], case["err"])
+
+
 def test_console_exit_codes():
     """Run as a program, the module still exits with main's code."""
     env = dict(os.environ, PYTHONPATH=str(Path(pdsflow.__file__).parents[1]))

@@ -30,7 +30,8 @@ from pdsflow import (
     solve_least,
     tabulated_framework_algebra,
 )
-from pdsflow.automaton import POST, PRE, readout_start, then
+from pdsflow.automaton import (POST, PRE, Transition, make_automaton,
+                               readout_start, then)
 from pdsflow.cli import single_config_automaton
 from pdsflow.encode import CONTROL_LOCATION
 from pdsflow.errors import NotAcceptedError
@@ -244,3 +245,40 @@ def test_report_matches_reference_on_seeded_icfgs(direction):
         else:
             node = rng.choice(sorted({n for p in g.procedures for n in p.nodes}))
         assert_report_matches(g, direction, node)
+
+
+DEAD_BRANCH_ICFG = """\
+domain {a,b}
+proc main entry m0 exit m3
+edge m0 -> m3 kill={} gen={b}
+call m1 -> sub return m2
+edge m2 -> m3 kill={} gen={}
+proc sub entry s0 exit s2
+edge s0 -> s1 kill={} gen={a}
+edge s1 -> s2 kill={} gen={}
+main main
+"""
+
+
+@pytest.mark.parametrize("direction", [POST, PRE])
+def test_report_is_exact_with_a_dead_branch(direction):
+    """The automaton accepts <p, m0> and has p -m1-> dead, where dead
+    reaches no final state.  Kill/gen ``zero`` does not annihilate from
+    the left, so solving per-state constraints for the report instead
+    gives m1 kill={a,b} gen={} and m3 kill={} gen={a,b} forward."""
+    g = load_icfg(DEAD_BRANCH_ICFG)
+    pds = encode_icfg(g)
+    aut, sol = solved(pds, make_automaton(
+        pds, [Transition("p", "m0", "f"), Transition("p", "m1", "dead")],
+        ["f"], direction, extra_states=["dead"]))
+    table = analysis_report(g, sol, aut)
+    assert table == reference.analysis_report(g, direction, sol, aut)
+    if direction == POST:
+        assert render_report(g, table, pds.algebra) == (
+            "m0: kill={} gen={}\n"
+            "m1: unreachable\n"
+            "m2: unreachable\n"
+            "m3: kill={} gen={b}\n"
+            "s0: unreachable\n"
+            "s1: unreachable\n"
+            "s2: unreachable\n")
