@@ -28,7 +28,7 @@ _EXPORTS = {
                    "check_soundness path_weight step transition_witness"),
         ("pds", "Configuration PushdownSystem Rule load_pds mid_location "
                 "parse_config_text"),
-        ("saturation", "Constraint SaturationResult TraceEntry post_star pre_star "
+        ("saturation", "Constraint SaturationResult post_star pre_star "
                        "render_constraints"),
         ("solver", "Solution SolverConfig eval_lhs solve_least"),
         ("tabulated", "FiniteLattice powerset_lattice tabulated_framework_algebra"),

@@ -201,32 +201,28 @@ def transition_witness(result: SaturationResult, pds: PushdownSystem,
 
     Backward direction: replaying the sequence from <src, label> empties
     the stack at dst.  Forward direction: replaying from <dst, empty>
-    reaches <src, label>.  Built from the saturation trace; original
-    transitions are justified by their pop or generator rule directly.
+    reaches <src, label>.  Built from the first constraint below each
+    transition, the rule match that added it: its weight and matched
+    transitions give back the rule.  An original transition's first
+    constraint is its seed, which gives its pop or generator rule.
     """
-    alg = pds.algebra
-    direction = result.automaton.direction
-    first_entry: dict = {}
-    for entry in result.trace:
-        first_entry.setdefault(entry.transition, entry)
-    originals = result.original.transitions
+    backward = result.automaton.direction == PRE
+    first: dict = {}
+    for c in result.constraints:
+        first.setdefault(c.rhs, c)
 
     def parts(t: Transition) -> list:
         """Rules, and matched transitions standing for their witnesses."""
-        if t in originals:
-            if direction == PRE:
-                return [Rule(t.src, t.label, t.dst, (), alg.one)]
-            return [Rule(t.dst, None, t.src, (t.label,), alg.one)]
-        entry = first_entry[t]
-        r = entry.rule
-        if direction == PRE:
-            return [r, *entry.matched]
-        if len(r.to_word) == 2:
-            mid = mid_location(r.to_loc, r.to_word[0])
-            if t.src == r.to_loc and t.dst == mid:
-                return [Rule(mid, None, r.to_loc, (r.to_word[0],), alg.one)]
-            r = Rule(r.from_loc, r.from_sym, mid, (r.to_word[1],), r.weight)
-        return [*entry.matched, r]
+        c = first[t]
+        if backward:
+            to_loc = c.after[0].src if c.after else t.dst
+            word = tuple(m.label for m in c.after)
+            return [Rule(t.src, t.label, to_loc, word, c.weight), *c.after]
+        if not c.before:  # a seed, or the p' -g1-> mid half of a push
+            return [Rule(t.dst, None, t.src, (t.label,), c.weight)]
+        word = () if t.label is None else (t.label,)
+        from_loc, from_sym = c.before[-1].src, c.before[0].label
+        return [*c.before, Rule(from_loc, from_sym, t.src, word, c.weight)]
 
     # an explicit stack: derivations may outgrow the recursion limit
     sequence, todo = [], [t]

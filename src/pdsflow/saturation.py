@@ -52,16 +52,11 @@ class Constraint(NamedTuple):
         return f"{' (x) '.join(parts)} <= {self.rhs.text()}"
 
 
-class TraceEntry(NamedTuple):
-    """One saturation step: the transition it added, the rule that fired,
-    and the matched automaton transitions in left-hand-side order."""
-
-    transition: Transition
-    rule: Rule
-    matched: tuple
-
-
 class SaturationResult(NamedTuple):
+    """The saturated automaton and its constraints.  ``trace`` holds the
+    transitions saturation added, in the order it added them; the first
+    constraint below each one is the rule match that added it."""
+
     automaton: PAutomaton
     constraints: tuple
     trace: tuple
@@ -89,26 +84,19 @@ def _saturate(pds: PushdownSystem, aut: PAutomaton) -> SaturationResult:
     alg = pds.algebra
     transitions: dict = {}  # insertion-ordered set
     constraints: dict = {}  # insertion-ordered set
-    trace: list = []
     worklist: deque = deque()
     out: dict = {}  # src -> label -> popped transitions
     eps_into: dict = {}  # dst -> popped epsilon transitions
     mids: set = set()  # forward: the mid state of every push rule
 
-    def emit(t, before, w, after, rule=None) -> None:
+    def emit(t, before, w, after) -> None:
         """Record before (x) w (x) after <= t, and add t if it is new."""
         constraints[_new(Constraint, (before, w, after, t))] = None
         if t not in transitions:
             transitions[t] = None
             worklist.append(t)
-            trace.append(_new(TraceEntry, (t, rule, before + after)))
-
-    def popped(src: str, label) -> list:
-        return out.get(src, {}).get(label, ())
 
     original = sorted(aut.transitions, key=transition_key)
-    transitions.update(dict.fromkeys(original))
-    worklist.extend(original)
     for t in original:
         emit(t, (), alg.one, ())
 
@@ -118,7 +106,7 @@ def _saturate(pds: PushdownSystem, aut: PAutomaton) -> SaturationResult:
         for r in pds.rules:
             if not r.to_word:
                 emit(_new(Transition, (r.from_loc, r.from_sym, r.to_loc)),
-                     (), r.weight, (), r)
+                     (), r.weight, ())
                 continue
             first.setdefault((r.to_loc, r.to_word[0]), []).append(r)
 
@@ -126,15 +114,15 @@ def _saturate(pds: PushdownSystem, aut: PAutomaton) -> SaturationResult:
             for r in first.get((t.src, t.label), ()):
                 if len(r.to_word) == 1:
                     emit(_new(Transition, (r.from_loc, r.from_sym, t.dst)),
-                         (), r.weight, (t,), r)
+                         (), r.weight, (t,))
                     continue
                 halves.setdefault((t.dst, r.to_word[1]), []).append((r, t))
-                for t2 in popped(t.dst, r.to_word[1]):
+                for t2 in out.get(t.dst, {}).get(r.to_word[1], ()):
                     emit(_new(Transition, (r.from_loc, r.from_sym, t2.dst)),
-                         (), r.weight, (t, t2), r)
+                         (), r.weight, (t, t2))
             for r, t1 in halves.get((t.src, t.label), ()):
                 emit(_new(Transition, (r.from_loc, r.from_sym, t.dst)),
-                     (), r.weight, (t1, t), r)
+                     (), r.weight, (t1, t))
     else:
         by_lhs: dict = {}  # (from_loc, from_sym) -> rules
         for r in pds.rules:
@@ -146,12 +134,12 @@ def _saturate(pds: PushdownSystem, aut: PAutomaton) -> SaturationResult:
             if len(r.to_word) == 2:
                 mid = mid_location(r.to_loc, r.to_word[0])
                 emit(_new(Transition, (r.to_loc, r.to_word[0], mid)),
-                     (), alg.one, (), r)
+                     (), alg.one, ())
                 t_new = _new(Transition, (mid, r.to_word[1], q))
             else:
                 label = r.to_word[0] if r.to_word else None
                 t_new = _new(Transition, (r.to_loc, label, q))
-            emit(t_new, path, r.weight, (), r)
+            emit(t_new, path, r.weight, ())
 
         def fire(t: Transition) -> None:
             for r in by_lhs.get((t.src, t.label), ()):
@@ -184,7 +172,7 @@ def _saturate(pds: PushdownSystem, aut: PAutomaton) -> SaturationResult:
     return SaturationResult(
         automaton=saturated,
         constraints=tuple(constraints),
-        trace=tuple(trace),
+        trace=tuple(transitions)[len(original):],
         original=aut,
     )
 

@@ -23,7 +23,7 @@ from pdsflow.automaton import (
 from pdsflow.errors import InvalidInputAutomatonError
 from pdsflow.pds import PushdownSystem, Rule, mid_location
 from pdsflow.record import Record
-from pdsflow.saturation import SaturationResult, TraceEntry
+from pdsflow.saturation import SaturationResult
 
 
 class Const(Record):
@@ -85,7 +85,7 @@ class _Builder:
         changed = False
         if t not in self.transitions:
             self.transitions.add(t)
-            self.trace.append(TraceEntry(t, rule, matched))
+            self.trace.append(t)
             changed = True
         if self.add_constraint(c):
             changed = True

@@ -355,9 +355,12 @@ def test_help_returns_zero(capsys):
 def test_help_and_usage_errors_match_fixture(capsys, monkeypatch):
     """``--help`` for ``pdsflow`` and each subcommand, and the usage
     errors of ``solve`` and ``query`` without their required options,
-    print exactly the recorded text at an 80-column terminal."""
+    print exactly the recorded text at an 80-column terminal.  Python
+    3.13's argparse keeps an option with its metavar when it wraps a
+    usage line, so 8 of the 13 texts have their own 3.13 recording."""
     monkeypatch.setenv("COLUMNS", "80")
-    cases = json.loads((FIXTURES / "cli_usage.json").read_text())
+    name = "cli_usage_py313.json" if sys.version_info >= (3, 13) else "cli_usage.json"
+    cases = json.loads((FIXTURES / name).read_text())
     assert len(cases) == 13
     for case in cases:
         assert run(capsys, *case["argv"]) == (case["code"], case["out"], case["err"])

@@ -17,8 +17,9 @@ import pdsflow
 from instances import recursive_icfg_text
 
 # Objects per saturated transition: 7.6 with Const and Var factors in
-# every constraint, 4.8 with constraints that hold transitions directly.
-MAX_OBJECTS_PER_TRANSITION = 6.0
+# every constraint, 4.8 with constraints that hold transitions directly,
+# 3.8 once saturation no longer keeps a trace record per added transition.
+MAX_OBJECTS_PER_TRANSITION = 4.0
 
 COUNT = """
 import gc, json, sys

@@ -121,16 +121,6 @@ class Constraint:
 
 
 @dataclass(frozen=True)
-class TraceEntry:
-    """One saturation step: the transition it added, the rule that fired,
-    and the matched automaton transitions in left-hand-side order."""
-
-    transition: Transition
-    rule: Rule
-    matched: tuple
-
-
-@dataclass(frozen=True)
 class IntraEdge:
     src: str
     dst: str
@@ -288,8 +278,8 @@ class ICFG:
 
 # ---------------------------------------------------------------------------
 
-TUPLES = ("Transition", "Rule", "Configuration", "Constraint", "TraceEntry",
-          "IntraEdge", "CallEdge", "FlowAlgebra", "PushdownSystem", "Run",
+TUPLES = ("Transition", "Rule", "Configuration", "Constraint", "IntraEdge",
+          "CallEdge", "FlowAlgebra", "PushdownSystem", "Run",
           "SaturationResult", "SolverConfig", "Procedure")
 CLASSES = ("Solution", "PAutomaton", "ICFG")
 OLD = SimpleNamespace(**{name: globals()[name] for name in TUPLES + CLASSES})
@@ -324,8 +314,6 @@ EXAMPLES = [
     ("Configuration", ("p", ("a", "b")), "Configuration(loc='p', stack=('a', 'b'))"),
     ("Constraint", ((T,), 1, (), EPS),
      f"Constraint(before=({T_REPR},), weight=1, after=(), rhs={EPS_REPR})"),
-    ("TraceEntry", (EPS, R, (T,)),
-     f"TraceEntry(transition={EPS_REPR}, rule={R_REPR}, matched=({T_REPR},))"),
     ("IntraEdge", EDGE, EDGE_REPR),
     ("CallEdge", ("c", "Q", "r"), "CallEdge(src='c', callee='Q', return_node='r')"),
     ("FlowAlgebra", ALG, ALG_REPR),
@@ -334,10 +322,10 @@ EXAMPLES = [
      f"rules=({R_REPR},), algebra={ALG_REPR})"),
     ("Run", ((T,),), f"Run(transitions=({T_REPR},))"),
     ("SaturationResult",
-     (AUT, (pf.Constraint((), 0, (), T),), (pf.TraceEntry(T, None, ()),), AUT),
+     (AUT, (pf.Constraint((), 0, (), T),), (T,), AUT),
      f"SaturationResult(automaton={AUT_REPR}, "
      f"constraints=(Constraint(before=(), weight=0, after=(), rhs={T_REPR}),), "
-     f"trace=(TraceEntry(transition={T_REPR}, rule=None, matched=()),), "
+     f"trace=({T_REPR},), "
      f"original={AUT_REPR})"),
     ("SolverConfig", (5,), "SolverConfig(max_applications=5)"),
     ("Procedure", PROC, PROC_REPR),
@@ -450,14 +438,11 @@ TRANSITIONS = st.tuples(NAMES, LABELS, NAMES)
 RULES = st.tuples(NAMES, LABELS, NAMES, st.lists(NAMES, max_size=2).map(tuple),
                   WEIGHTS)
 FACTS = st.frozensets(st.sampled_from(["u", "v"]))
-KINDS = ("Transition", "Rule", "Configuration", "TraceEntry", "IntraEdge",
-         "CallEdge")
+KINDS = ("Transition", "Rule", "Configuration", "IntraEdge", "CallEdge")
 RAW = {
     "Transition": TRANSITIONS,
     "Rule": RULES,
     "Configuration": st.tuples(NAMES, st.lists(NAMES, max_size=3).map(tuple)),
-    "TraceEntry": st.tuples(TRANSITIONS, st.none() | RULES,
-                            st.lists(TRANSITIONS, max_size=2).map(tuple)),
     "IntraEdge": st.tuples(NAMES, NAMES, st.builds(KillGenElement, FACTS, FACTS)),
     "CallEdge": st.tuples(NAMES, NAMES, NAMES),
 }
@@ -466,11 +451,6 @@ TEXT_ARGS = {"Transition": (), "Configuration": (), "Rule": (MP,)}
 
 def build(defs, kind: str, raw):
     """The record that ``raw`` describes, made of the classes in ``defs``."""
-    if kind == "TraceEntry":
-        t, rule, matched = raw
-        return defs.TraceEntry(defs.Transition(*t),
-                               None if rule is None else defs.Rule(*rule),
-                               tuple(defs.Transition(*m) for m in matched))
     return getattr(defs, kind)(*raw)
 
 

@@ -3,7 +3,8 @@
 Both must give the same constraint text, the same automaton text, the
 same set of trace transitions and the same number of trace entries,
 also when they re-saturate a saturated automaton, whose seed
-constraints then meet the rules' own.
+constraints then meet the rules' own.  The engine's trace holds each
+transition it added exactly once.
 """
 
 from pathlib import Path
@@ -38,8 +39,10 @@ def assert_same(pds, aut):
     alg = pds.algebra
     assert render_constraints(new, alg) == render_constraints(old, alg)
     assert new.automaton.text() == old.automaton.text()
-    assert {e.transition for e in new.trace} == {e.transition for e in old.trace}
+    assert set(new.trace) == set(old.trace)
     assert len(new.trace) == len(old.trace)
+    added = new.automaton.transitions - new.original.transitions
+    assert set(new.trace) == added and len(set(new.trace)) == len(new.trace)
     return new.automaton
 
 

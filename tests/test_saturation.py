@@ -5,6 +5,7 @@ import pytest
 from pdsflow import (
     Configuration,
     PushdownSystem,
+    Rule,
     Transition,
     build_delta_pre,
     build_delta_post2,
@@ -259,3 +260,35 @@ class TestWitnesses:
             word = (t.label,) if t.label is not None else ()
             replay(delta, Configuration(t.dst, ()),
                    sigma, Configuration(t.src, word))
+
+    @pytest.mark.parametrize("direction", [PRE, POST])
+    def test_repeated_rule_keys_witness_the_first_rule(self, direction):
+        """A system built by its constructor may repeat a rule key with
+        another weight.  Each pair's first rule fires first, so every
+        witness names it, or its split halves forward."""
+        pairs = [Rule("p", "a", "q", (), 1), Rule("p", "a", "q", (), 5),
+                 Rule("q", "b", "p", ("a",), 2), Rule("q", "b", "p", ("a",), 6),
+                 Rule("p", "c", "q", ("b", "d"), 3),
+                 Rule("p", "c", "q", ("b", "d"), 7)]
+        pds = PushdownSystem(frozenset("pq"), frozenset("abcd"), tuple(pairs), MP)
+        first = pds._replace(rules=tuple(pairs[::2]))
+        if direction == PRE:
+            aut = make_automaton(pds, [Transition("q", "d", "f")], ["f"], PRE)
+            result, build = pre_star(pds, aut), build_delta_pre
+        else:
+            aut = make_automaton(pds, [Transition("p", "c", "f")], ["f"], POST)
+            result, build = post_star(pds, aut), build_delta_post2
+        delta, firsts = build(pds, aut), build(first, aut)
+        used = set()
+        for t in result.automaton.transitions:
+            sigma = transition_witness(result, pds, t)
+            assert all(r in firsts for r in sigma), t.text()
+            used.update(sigma)
+            if direction == PRE:
+                replay(delta, Configuration(t.src, (t.label,)),
+                       sigma, Configuration(t.dst, ()))
+            else:
+                word = (t.label,) if t.label is not None else ()
+                replay(delta, Configuration(t.dst, ()),
+                       sigma, Configuration(t.src, word))
+        assert {r.weight for r in used} >= {1, 2, 3}

@@ -26,7 +26,7 @@ def test_all_is_the_pinned_public_surface():
         "FiniteLattice FlowAlgebra ICFG IntraEdge KillGenElement LawReport "
         "LawVerdict OracleReport PAutomaton POST PRE Procedure "
         "PushdownSystem Rule Run SaturationResult Solution SolverConfig "
-        "TraceEntry Transition accepted_configs accepting_runs accepts "
+        "Transition accepted_configs accepting_runs accepts "
         "analysis_report boolean_algebra build_delta_post2 build_delta_pre "
         "check_completeness check_laws check_soundness encode_icfg eval_lhs "
         "killgen_algebra load_automaton load_icfg load_pds make_automaton "
