@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import FlowAlgebra
 from .errors import NoSamplesError
@@ -50,8 +49,7 @@ _SEMIRING_LAWS = LAW_NAMES[7:]
 _DISTRIBUTIVITY_LAWS = LAW_NAMES[7:9]
 
 
-@dataclass(frozen=True)
-class LawVerdict:
+class LawVerdict(NamedTuple):
     law: str
     status: str  # "holds", "fails", "sampled-only"
     counterexample: Optional[tuple] = None
@@ -61,12 +59,11 @@ class LawVerdict:
         return self.status == "fails"
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(NamedTuple):
     """Per-law verdicts for one weight domain plus a classification."""
 
     algebra_name: str
-    verdicts: dict = field(default_factory=dict)
+    verdicts: dict  # law -> LawVerdict
 
     def verdict(self, law: str) -> LawVerdict:
         return self.verdicts[law]

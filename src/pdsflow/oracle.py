@@ -14,7 +14,6 @@ path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .algebra import FlowAlgebra
@@ -171,16 +170,15 @@ def build_delta_post2(pds: PushdownSystem, aut) -> list:
     """Generator rules, split push rules, and the untouched remainder.
 
     Each automaton transition src -label-> dst yields a weight-one
-    generator rule from dst that pushes the label and moves to src, so
-    runs from a final state rebuild accepted configurations.  Each push
-    rule is split in two through its mid location; the pair chains to
-    the original weight because the second half has weight one.
+    generator rule from dst that pushes the label, or nothing for an
+    epsilon, and moves to src, so runs from a final state rebuild
+    accepted configurations.  Each push rule is split in two through its
+    mid location; the pair chains to the original weight because the
+    second half has weight one.
     """
     one = pds.algebra.one
-    out = [
-        Rule(t.dst, None, t.src, (t.label,), one)
-        for t in sorted(aut.transitions, key=transition_key)
-    ]
+    out = [Rule(t.dst, None, t.src, _word(t), one)
+           for t in sorted(aut.transitions, key=transition_key)]
     for r in pds.rules:
         if len(r.to_word) == 2:
             mid = mid_location(r.to_loc, r.to_word[0])
@@ -189,6 +187,11 @@ def build_delta_post2(pds: PushdownSystem, aut) -> list:
         else:
             out.append(r)
     return out
+
+
+def _word(t: Transition) -> tuple:
+    """What ``t`` spells: its label, or nothing for an epsilon transition."""
+    return () if t.label is None else (t.label,)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +222,9 @@ def transition_witness(result: SaturationResult, pds: PushdownSystem,
             word = tuple(m.label for m in c.after)
             return [Rule(t.src, t.label, to_loc, word, c.weight), *c.after]
         if not c.before:  # a seed, or the p' -g1-> mid half of a push
-            return [Rule(t.dst, None, t.src, (t.label,), c.weight)]
-        word = () if t.label is None else (t.label,)
+            return [Rule(t.dst, None, t.src, _word(t), c.weight)]
         from_loc, from_sym = c.before[-1].src, c.before[0].label
-        return [*c.before, Rule(from_loc, from_sym, t.src, word, c.weight)]
+        return [*c.before, Rule(from_loc, from_sym, t.src, _word(t), c.weight)]
 
     # an explicit stack: derivations may outgrow the recursion limit
     sequence, todo = [], [t]
@@ -268,8 +270,7 @@ def _walk_paths(rules, source: Configuration, depth_bound: int,
 # soundness and completeness checks
 
 
-@dataclass(frozen=True)
-class OracleViolation:
+class OracleViolation(NamedTuple):
     config: Configuration
     sigma_count: int
     lhs_text: str
@@ -282,12 +283,11 @@ class OracleViolation:
         )
 
 
-@dataclass
-class OracleReport:
-    checked: int = 0
-    bound_limited: int = 0
-    ok_configs: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
+class OracleReport(NamedTuple):
+    checked: int
+    bound_limited: int
+    ok_configs: tuple  # of Configuration
+    violations: tuple  # of OracleViolation
 
     @property
     def passed(self) -> bool:
@@ -353,20 +353,20 @@ def check_soundness(pds: PushdownSystem, result: SaturationResult, sol,
     aut = result.automaton
     accepted = accepted_configs(aut, config_stack_bound)
     readout = {c: query(aut, sol, c) for c in accepted}
-    report = OracleReport()
-    bad = set()
+    checked = bound_limited = 0
+    violations = []
     for _, exhausted, hits in _search_plan(pds, result, accepted, depth_bound):
-        report.bound_limited += not exhausted
+        bound_limited += not exhausted
         for c, sigma in hits:
-            report.checked += 1
+            checked += 1
             w = path_weight(alg, sigma)
             if not alg.leq(w, readout[c]):
-                bad.add(c)
-                report.violations.append(OracleViolation(
+                violations.append(OracleViolation(
                     c, len(sigma), alg.render(w), alg.render(readout[c]),
                 ))
-    report.ok_configs = [c for c in accepted if c not in bad]
-    return report
+    bad = {v.config for v in violations}
+    ok = tuple(c for c in accepted if c not in bad)
+    return OracleReport(checked, bound_limited, ok, tuple(violations))
 
 
 def check_completeness(pds: PushdownSystem, result: SaturationResult, sol,
@@ -405,21 +405,19 @@ def check_completeness(pds: PushdownSystem, result: SaturationResult, sol,
             v, m = found.get(c, (None, 0))
             found[c] = (alg.combine(v, w) if m else w, m + n)
 
-    report = OracleReport()
+    ok, violations = [], []
     for c in accepted:
         rhs = query(aut, sol, c)
         value, count = found.get(c, (None, 0))
-        report.checked += 1
         if c in limited:
-            report.bound_limited += 1
             bad = count and not alg.leq(value, rhs)
         else:
             bad = not count or rhs != value
         if bad:
-            report.violations.append(OracleViolation(
+            violations.append(OracleViolation(
                 c, count, alg.render(value) if count else "no paths",
                 alg.render(rhs),
             ))
         else:
-            report.ok_configs.append(c)
-    return report
+            ok.append(c)
+    return OracleReport(len(accepted), len(limited), tuple(ok), tuple(violations))

@@ -12,9 +12,11 @@ and ``check_completeness`` are the oracle's checks as they were before
 both read one search plan, kept verbatim as the reference the new ones
 must agree with: soundness inlines its own path enumeration, and forward
 completeness runs one search per (accepted configuration, final state).
+Their reports are the mutable ``OracleViolation`` and ``OracleReport``
+dataclasses as they were then, whose ``text()`` is the package's.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from pdsflow.algebra import FlowAlgebra
@@ -22,8 +24,6 @@ from pdsflow.automaton import PRE, query, transition_key
 from pdsflow.errors import PreconditionNotMetError
 from pdsflow.laws import check_laws
 from pdsflow.oracle import (
-    OracleReport,
-    OracleViolation,
     _walk_paths,
     accepted_configs,
     build_delta_post2,
@@ -214,6 +214,44 @@ def enumerate_paths_depth_first(q: PathQuery) -> list:
 
     visit((), q.source)
     return found
+
+
+@dataclass(frozen=True)
+class OracleViolation:
+    config: Configuration
+    sigma_count: int
+    lhs_text: str
+    rhs_text: str
+
+    def line(self) -> str:
+        return (
+            f"VIOLATION {self.config.text()} {self.sigma_count} "
+            f"{self.lhs_text} {self.rhs_text}"
+        )
+
+
+@dataclass
+class OracleReport:
+    checked: int = 0
+    bound_limited: int = 0
+    ok_configs: list = field(default_factory=list)
+    violations: list = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+    def render_lines(self) -> list:
+        lines = [f"OK {c.text()}" for c in self.ok_configs]
+        lines += [v.line() for v in self.violations]
+        lines.append(
+            f"checked={self.checked} violations={len(self.violations)} "
+            f"bound_limited={self.bound_limited}"
+        )
+        return lines
+
+    def text(self) -> str:
+        return "\n".join(self.render_lines()) + "\n"
 
 
 def _composite_rules(pds: PushdownSystem, result: SaturationResult) -> list:

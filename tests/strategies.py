@@ -7,6 +7,10 @@ Input automata meet the preconditions of saturation: their transitions
 leave a control location or an extra state and enter an extra state,
 and only extra states are final.  Tabulated weights are random monotone
 maps on the powerset of two facts, some of which do not preserve joins.
+
+Graphs for ``analyze`` are texts in the graph format: one to six
+procedures of two to six nodes over one to 64 facts, with edges and
+calls drawn between each procedure's own nodes.
 """
 
 from hypothesis import strategies as st
@@ -81,3 +85,36 @@ def instances(draw, algebras=ALGEBRAS):
     finals = draw(st.sets(st.sampled_from(STATES), min_size=1))
     return (pds, make_automaton(pds, transitions, finals, PRE),
             make_automaton(pds, transitions, finals, POST))
+
+
+# a graph step: (kind, three node or procedure picks, kill and gen fact
+# masks); kind 0 is a call, the others edges, and picks are reduced
+# modulo what there is to pick from
+_PICK = st.integers(0, 63)
+_MASK = st.integers(0, 2**64 - 1)
+_GRAPH_STEP = st.tuples(st.integers(0, 3), _PICK, _PICK, _PICK, _MASK, _MASK)
+
+
+@st.composite
+def icfgs(draw):
+    """The text of a graph: each procedure draws its edges and calls at
+    random, so self-loops, dead ends, unreachable nodes and repeated
+    edges and calls occur; a call targets any procedure, the caller
+    included, and ``main`` is any procedure."""
+    facts = [f"f{i}" for i in range(draw(st.integers(1, 64)))]
+    procs = [f"P{i}" for i in range(draw(st.integers(1, 6)))]
+    lines = ["domain {" + ",".join(facts) + "}"]
+    for name in procs:
+        nodes = [f"{name}_{k}" for k in range(draw(st.integers(2, 6)))]
+        lines.append(f"proc {name} entry {nodes[0]} exit {nodes[-1]}")
+        for kind, a, b, c, kill, gen in draw(
+                st.lists(_GRAPH_STEP, max_size=3 * len(nodes))):
+            src, dst = nodes[a % len(nodes)], nodes[c % len(nodes)]
+            if kind == 0:
+                lines.append(f"call {src} -> {procs[b % len(procs)]} return {dst}")
+            else:
+                kill, gen = (",".join(f for i, f in enumerate(facts) if mask >> i & 1)
+                             for mask in (kill, gen))
+                lines.append(f"edge {src} -> {dst} kill={{{kill}}} gen={{{gen}}}")
+    lines.append(f"main {procs[draw(_PICK) % len(procs)]}")
+    return "\n".join(lines) + "\n"

@@ -231,6 +231,10 @@ def test_criterion_6_transition_witnesses(suite, loopfree_suite):
     total = 0
     every = [(pds, result) for _, pds, _, result, _ in suite]
     every += [(pds, result) for _, _, pds, result, _, _ in loopfree_suite]
+    # re-saturated automata: forward ones start from epsilon transitions
+    every += [(pds, (pre_star if result.automaton.direction == PRE
+                     else post_star)(pds, result.automaton))
+              for pds, result in every]
     for pds, result in every:
         direction = result.automaton.direction
         if direction == PRE:

@@ -235,10 +235,9 @@ class TestOracle:
         from pdsflow import Configuration, oracle
         from pdsflow.oracle import OracleReport, OracleViolation
 
-        failing = OracleReport(checked=1)
-        failing.violations.append(OracleViolation(
-            Configuration("p", ("a",)), 1, "1", "0",
-        ))
+        violation = OracleViolation(Configuration("p", ("a",)), 1, "1", "0")
+        failing = OracleReport(checked=1, bound_limited=0, ok_configs=(),
+                               violations=(violation,))
         monkeypatch.setattr(oracle, "check_soundness",
                             lambda *a, **k: failing)
         code, out, _ = run(

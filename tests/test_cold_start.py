@@ -3,11 +3,11 @@
 Each check runs in a fresh interpreter and reads ``sys.modules``, not
 the clock.  ``import pdsflow`` loads no submodule; the pipeline
 commands and the library path never load the oracle, the law checker
-or the tabulated algebra, nor ``dataclasses`` and the ``inspect``
-module it pulls in; only ``analyze`` loads the graph front end; every
-exported name is the very object its submodule defines.  A tabulated
-system runs through the pipeline without building its carrier, which
-only the law checker reads.
+or the tabulated algebra; no command and no exported name loads
+``dataclasses`` or the ``inspect`` module it pulls in; only ``analyze``
+loads the graph front end; every exported name is the very object its
+submodule defines.  A tabulated system runs through the pipeline
+without building its carrier, which only the law checker reads.
 """
 
 import functools
@@ -89,6 +89,33 @@ def test_pipeline_commands_load_no_code_generation(command):
     assert ("pdsflow.encode" in out["modules"]) is (command == "analyze")
 
 
+CHECKING = {
+    "check-algebra": ("check-algebra", "--pds", PDS),
+    **{f"oracle-{mode}": ("oracle", "--pds", PDS, "--automaton", AUT_PRE,
+                          "--direction", "pre", "--mode", mode, "--depth", "4")
+       for mode in ("soundness", "completeness")},
+}
+
+
+@pytest.mark.parametrize("command", sorted(CHECKING))
+def test_checking_commands_load_no_code_generation(command):
+    out = run_main(CHECKING[command])
+    assert out["code"] == 0
+    assert CODEGEN.isdisjoint(out["modules"]), out["modules"]
+
+
+def test_exported_names_load_no_code_generation():
+    script = f"""
+import json, sys, pdsflow
+for name in pdsflow.__all__:
+    getattr(pdsflow, name)
+print(json.dumps({LOADED}))
+"""
+    out = fresh(script)
+    assert CHECKERS <= set(out), out
+    assert CODEGEN.isdisjoint(out), out
+
+
 def test_library_path_loads_no_checker_cli_or_encode():
     script = f"""
 import json, sys
@@ -149,7 +176,7 @@ print(json.dumps({{"code": code, "closures": len(closures),
 
 
 def test_check_algebra_loads_the_law_checker():
-    out = run_main(("check-algebra", "--pds", PDS))
+    out = run_main(CHECKING["check-algebra"])
     assert out["code"] == 0
     assert "pdsflow.laws" in out["modules"]
 

@@ -299,6 +299,20 @@ class TestCompletenessCheck:
             assert report.passed
             assert report.bound_limited == 0
 
+    @pytest.mark.parametrize("kind", ["killgen", "minplus"])
+    def test_loop_free_forward_resaturations(self, kind):
+        """A forward re-saturation starts from epsilon transitions, whose
+        generator rules push nothing; the readout must still equal the
+        join over all paths."""
+        for seed in range(60):
+            pds, _, aut_post = instance(seed, kind, loop_free=True)
+            result = post_star(pds, post_star(pds, aut_post).automaton)
+            sol = solve_least(result.constraints, pds.algebra)
+            samples = [r.weight for r in pds.rules] if kind == "minplus" else None
+            report = check_completeness(pds, result, sol, depth_bound=40,
+                                        config_stack_bound=3, samples=samples)
+            assert report.passed, f"seed {seed}: {report.violations[:3]}"
+
     def test_non_distributive_algebra_refused(self):
         alg = m3_algebra()
         report_laws = __import__("pdsflow").check_laws(alg)
