@@ -23,9 +23,9 @@ _EXPORTS = {
         ("encode", "CallEdge ICFG IntraEdge Procedure analysis_report encode_icfg "
                    "load_icfg render_report"),
         ("laws", "LawReport LawVerdict check_laws"),
-        ("oracle", "OracleReport Run accepted_configs accepting_runs accepts "
+        ("oracle", "OracleReport Run accepted_configs accepting_runs "
                    "build_delta_post2 build_delta_pre check_completeness "
-                   "check_soundness path_weight step transition_witness"),
+                   "check_soundness path_weight step"),
         ("pds", "Configuration PushdownSystem Rule load_pds mid_location "
                 "parse_config_text"),
         ("saturation", "Constraint SaturationResult post_star pre_star "

@@ -135,24 +135,37 @@ def analysis_report(g: ICFG, sol, aut: PAutomaton) -> dict:
     reading it, as ``query`` multiplies; ``rest[q]`` joins the labeled
     runs from ``q`` to a final state.  One pass over the transitions
     files them by state, in no ``transition_key`` order: ``combine`` is
-    a join, so the order in which values meet does not change them."""
+    a join, so the order in which values meet does not change them.  A
+    visit first closes ``rest[q]`` under ``L``, the join of ``q``'s
+    self-loop labels: exact where ``then`` distributes over ``combine``,
+    as kill/gen does, and an upper bound elsewhere."""
     alg = sol.algebra
     step = then(aut, alg)
     into: dict = {}  # dst -> the labeled transitions into it
     out: dict = {}  # src -> the transitions out of it
+    loops: dict = {}  # q -> L, the join of its self-loop labels
     for t in aut.transitions:
         out.setdefault(t.src, []).append(t)
         if t.label is not None:
             into.setdefault(t.dst, []).append(t)
+            if t.src == t.dst:
+                w = sol.value(t)
+                loops[t.src] = alg.combine(loops[t.src], w) if t.src in loops else w
     rest = {q: alg.one for q in sorted(aut.finals)}
     reads: dict = {}  # t -> l(t) (x) rest[t.dst], as of t.dst's last visit
     todo = OrderedDict.fromkeys(rest)  # a FIFO queue that holds a state once
     while todo:
         q, _ = todo.popitem(last=False)
         after = rest[q]
+        if q in loops:  # after <- after (+) then(L, after) until it holds
+            while (grown := alg.combine(after, step(loops[q], after))) != after:
+                after = grown
+            rest[q] = after
         joined: dict = {}  # src -> join over the transitions into q
         for t in into.get(q, ()):
             value = reads[t] = step(sol.value(t), after)
+            if t.src == q:  # a self-loop, in after already
+                continue
             joined[t.src] = alg.combine(joined[t.src], value) if t.src in joined else value
         for src, value in joined.items():
             old = rest.get(src)

@@ -6,10 +6,10 @@ of rule sequences over a composite rule system: backward, one search
 per accepted configuration towards an empty stack at a final state;
 forward, one search per final state from its empty stack, collecting
 every accepted configuration it reaches.  Deliberately shares no
-saturation or solving code with the engine.  The run enumeration, the
-step relation, the composite rule systems and the saturation witnesses
-that the checks and the tests rely on live here too, off the command
-path.
+saturation or solving code with the engine.  The step relation, the
+composite rule systems and the accepted configurations that the checks
+read live here too, off the command path, with the run enumeration that
+the benchmark's run counter is checked against.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .saturation import SaturationResult
 
 
 # ---------------------------------------------------------------------------
-# runs and acceptance
+# runs and accepted configurations
 
 
 class Run(NamedTuple):
@@ -78,19 +78,6 @@ def accepting_runs(aut: PAutomaton, c: Configuration) -> list:
             if t.label == sym:
                 todo.append((t.dst, pos + 1, prefix + (t,)))
     return results
-
-
-def accepts(aut: PAutomaton, c: Configuration) -> bool:
-    """Whether ``c`` has an accepting run.  One walk over the stack keeps
-    the set of states a run can be in, starting from the initial state
-    and, forward, the targets of one leading epsilon step."""
-    check_initial(aut, c)
-    here = {c.loc}
-    if aut.direction == POST:
-        here |= {t.dst for t in aut.outgoing(c.loc) if t.label is None}
-    for sym in c.stack:
-        here = {t.dst for q in here for t in aut.outgoing(q) if t.label == sym}
-    return not here.isdisjoint(aut.finals)
 
 
 def accepted_configs(aut: PAutomaton, max_stack: int) -> list:
@@ -192,49 +179,6 @@ def build_delta_post2(pds: PushdownSystem, aut) -> list:
 def _word(t: Transition) -> tuple:
     """What ``t`` spells: its label, or nothing for an epsilon transition."""
     return () if t.label is None else (t.label,)
-
-
-# ---------------------------------------------------------------------------
-# witnesses
-
-
-def transition_witness(result: SaturationResult, pds: PushdownSystem,
-                       t: Transition) -> tuple:
-    """A rule sequence over the composite system justifying ``t``.
-
-    Backward direction: replaying the sequence from <src, label> empties
-    the stack at dst.  Forward direction: replaying from <dst, empty>
-    reaches <src, label>.  Built from the first constraint below each
-    transition, the rule match that added it: its weight and matched
-    transitions give back the rule.  An original transition's first
-    constraint is its seed, which gives its pop or generator rule.
-    """
-    backward = result.automaton.direction == PRE
-    first: dict = {}
-    for c in result.constraints:
-        first.setdefault(c.rhs, c)
-
-    def parts(t: Transition) -> list:
-        """Rules, and matched transitions standing for their witnesses."""
-        c = first[t]
-        if backward:
-            to_loc = c.after[0].src if c.after else t.dst
-            word = tuple(m.label for m in c.after)
-            return [Rule(t.src, t.label, to_loc, word, c.weight), *c.after]
-        if not c.before:  # a seed, or the p' -g1-> mid half of a push
-            return [Rule(t.dst, None, t.src, _word(t), c.weight)]
-        from_loc, from_sym = c.before[-1].src, c.before[0].label
-        return [*c.before, Rule(from_loc, from_sym, t.src, _word(t), c.weight)]
-
-    # an explicit stack: derivations may outgrow the recursion limit
-    sequence, todo = [], [t]
-    while todo:
-        x = todo.pop()
-        if isinstance(x, Rule):
-            sequence.append(x)
-        else:
-            todo.extend(reversed(parts(x)))
-    return tuple(sequence)
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,30 @@ must agree with: soundness inlines its own path enumeration, and forward
 completeness runs one search per (accepted configuration, final state).
 Their reports are the mutable ``OracleViolation`` and ``OracleReport``
 dataclasses as they were then, whose ``text()`` is the package's.
+``accepts`` decides acceptance by one walk over the stack, and
+``transition_witness`` rebuilds, from the constraints of a saturation, a
+rule sequence over the composite system that justifies one transition;
+the package's checks use neither.
 """
 
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from pdsflow.algebra import FlowAlgebra
-from pdsflow.automaton import PRE, query, transition_key
+from pdsflow.automaton import (
+    POST,
+    PRE,
+    PAutomaton,
+    Transition,
+    check_initial,
+    query,
+    transition_key,
+)
 from pdsflow.errors import PreconditionNotMetError
 from pdsflow.laws import check_laws
 from pdsflow.oracle import (
     _walk_paths,
+    _word,
     accepted_configs,
     build_delta_post2,
     build_delta_pre,
@@ -396,3 +409,59 @@ def check_completeness(pds: PushdownSystem, result: SaturationResult, sol,
             else:
                 report.ok_configs.append(c)
     return report
+
+
+def accepts(aut: PAutomaton, c: Configuration) -> bool:
+    """Whether ``c`` has an accepting run.  One walk over the stack keeps
+    the set of states a run can be in, starting from the initial state
+    and, forward, the targets of one leading epsilon step."""
+    check_initial(aut, c)
+    here = {c.loc}
+    if aut.direction == POST:
+        here |= {t.dst for t in aut.outgoing(c.loc) if t.label is None}
+    for sym in c.stack:
+        here = {t.dst for q in here for t in aut.outgoing(q) if t.label == sym}
+    return not here.isdisjoint(aut.finals)
+
+
+# ---------------------------------------------------------------------------
+# witnesses
+
+
+def transition_witness(result: SaturationResult, pds: PushdownSystem,
+                       t: Transition) -> tuple:
+    """A rule sequence over the composite system justifying ``t``.
+
+    Backward direction: replaying the sequence from <src, label> empties
+    the stack at dst.  Forward direction: replaying from <dst, empty>
+    reaches <src, label>.  Built from the first constraint below each
+    transition, the rule match that added it: its weight and matched
+    transitions give back the rule.  An original transition's first
+    constraint is its seed, which gives its pop or generator rule.
+    """
+    backward = result.automaton.direction == PRE
+    first: dict = {}
+    for c in result.constraints:
+        first.setdefault(c.rhs, c)
+
+    def parts(t: Transition) -> list:
+        """Rules, and matched transitions standing for their witnesses."""
+        c = first[t]
+        if backward:
+            to_loc = c.after[0].src if c.after else t.dst
+            word = tuple(m.label for m in c.after)
+            return [Rule(t.src, t.label, to_loc, word, c.weight), *c.after]
+        if not c.before:  # a seed, or the p' -g1-> mid half of a push
+            return [Rule(t.dst, None, t.src, _word(t), c.weight)]
+        from_loc, from_sym = c.before[-1].src, c.before[0].label
+        return [*c.before, Rule(from_loc, from_sym, t.src, _word(t), c.weight)]
+
+    # an explicit stack: derivations may outgrow the recursion limit
+    sequence, todo = [], [t]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Rule):
+            sequence.append(x)
+        else:
+            todo.extend(reversed(parts(x)))
+    return tuple(sequence)

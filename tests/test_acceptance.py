@@ -35,7 +35,6 @@ from pdsflow import (
     query,
     solve_least,
     step,
-    transition_witness,
 )
 from pdsflow.automaton import POST, PRE
 from pdsflow.cli import main as cli_main, single_config_automaton
@@ -49,6 +48,7 @@ from reference_oracle import (
     join_over_paths,
     predecessor_configs,
     reachable_configs,
+    transition_witness,
 )
 from reference_readout import read_weight_post
 from reference_solver import apply_F, iterate_to_fixpoint

